@@ -4,7 +4,7 @@ Machine-readable JSON goes to stdout, a one-line human summary to stderr.
 All fractions are serialized as strings in the ``p`` / ``p/q`` wire format,
 never as floating-point JSON numbers, so output re-parses to the exact
 computed values.  Exit codes: 0 success/valid, 1 validation failure (the
-failing invariant is named), 2 I/O or parse error.
+failing invariant is named), 2 I/O, parse or argument error.
 
 Config file schema (UTF-8 JSON)::
 
@@ -24,9 +24,7 @@ from .contextuality import (
     CycleScenario,
     CycleValidationError,
     correlator,
-    kcbs_value,
     kcbs_value_via_projections,
-    make_observable,
     reference_scenario,
     validate_cycle,
 )
@@ -80,7 +78,7 @@ def scenario_config(s: CycleScenario) -> dict:
 
 def _run_checks(s: CycleScenario, value: Fraction, corrs: list[Fraction]) -> dict[str, bool]:
     """Exact re-checks of the named invariants, reported alongside results."""
-    observables = [make_observable(u) for u in s.vectors]
+    observables = s.observables
     identity = Mat3Q.identity()
     square_ok = all(mat_mul(o.matrix, o.matrix) == identity for o in observables)
     trace_ok = all(o.matrix.trace() == -1 for o in observables)
@@ -100,8 +98,8 @@ def _run_checks(s: CycleScenario, value: Fraction, corrs: list[Fraction]) -> dic
 
 
 def build_report(s: CycleScenario, digits: int) -> dict:
-    value = kcbs_value(s)
     corrs = [correlator(s, i) for i in range(s.n)]
+    value = sum(corrs)
     checks = _run_checks(s, value, corrs)
     if s.n <= MAX_ENUMERATION_N:
         bound, _witness = classical_min_cycle(s.n)
@@ -223,6 +221,12 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rational-kcbs",
@@ -234,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ref = sub.add_parser("reference", help="evaluate the built-in reference configuration")
-    ref.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     ref.set_defaults(func=cmd_reference)
 
     verify = sub.add_parser("verify", help="validate a config file's exact invariants")
@@ -243,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("evaluate", help="validate and evaluate a config file")
     evaluate.add_argument("config")
-    evaluate.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     evaluate.set_defaults(func=cmd_evaluate)
 
     bound = sub.add_parser("bound", help="certify the classical cycle bound by enumeration")
@@ -254,8 +256,10 @@ def _build_parser() -> argparse.ArgumentParser:
     srch.add_argument("--max-mn", type=int, default=14)
     srch.add_argument("--max-den", type=int, default=600)
     srch.add_argument("--top", type=int, default=5)
-    srch.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     srch.set_defaults(func=cmd_search)
+
+    for cmd in (ref, evaluate, srch):
+        cmd.add_argument("--digits", type=_non_negative_int, default=DEFAULT_DIGITS)
 
     return parser
 

@@ -8,11 +8,11 @@ jointly measurable and the cycle correlation sum is well defined.  The
 pentagon (n = 5) is the default; everything here works for any odd n >= 3
 because the bound logic is identical.
 
-Two independent evaluation routes are provided on purpose:
-``kcbs_value`` multiplies out the full observable products, while
-``kcbs_value_via_projections`` uses the orthogonal-pair identity
-``<A_i A_{i+1}> = 1 - 2<P_i> - 2<P_{i+1}>``.  Agreement of the two routes is
-an end-to-end correctness check; only the first is the primary path.
+Two independent evaluation routes are provided on purpose: ``kcbs_value``
+sums ``(A_i psi) . (A_{i+1} psi)``, exact because every A_i is symmetric and
+free of any orthogonality assumption, while ``kcbs_value_via_projections``
+uses the orthogonal-pair identity ``<A_i A_{i+1}> = 1 - 2<P_i> - 2<P_{i+1}>``.
+Agreement of the two routes is an end-to-end check; the first is primary.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .linalg3 import (
     Vec3Q,
     dot,
     mat_mul,
+    mat_vec,
     norm_sq,
     outer,
     quadratic_form,
@@ -153,9 +154,7 @@ class CycleScenario:
 
     @cached_property
     def observables(self) -> tuple[DichotomicObservable, ...]:
-        """The direction observables, built once per scenario (the build
-        re-verifies the 2|v><v| - 1 shape, so rebuilding per correlator
-        would double the cost of every evaluation)."""
+        """The direction observables: the one place a scenario builds them."""
         return tuple(make_observable(u) for u in self.vectors)
 
 
@@ -181,15 +180,14 @@ def validate_cycle(state: Vec3Q, vectors: Sequence[Vec3Q]) -> CycleScenario:
 
 
 def correlator(s: CycleScenario, i: int) -> Fraction:
-    """Exact <A_i A_{i+1}> for the scenario state, via full matrix products.
-
-    Always lies in [-1, 1].  Raises IndexError outside 0 <= i < n.
-    """
+    """Exact <A_i A_{i+1}> as (A_i psi) . (A_{i+1} psi), equal because A_i is
+    symmetric; unlike the projection route it needs no orthogonality.
+    Always lies in [-1, 1].  Raises IndexError outside 0 <= i < n."""
     if not 0 <= i < s.n:
         raise IndexError(f"correlator index {i} out of range for n = {s.n}")
     a = s.observables[i].matrix
     b = s.observables[(i + 1) % s.n].matrix
-    return quadratic_form(s.state.v, mat_mul(a, b))
+    return dot(mat_vec(a, s.state.v), mat_vec(b, s.state.v))
 
 
 def kcbs_value(s: CycleScenario) -> Fraction:
@@ -215,11 +213,9 @@ def cycle_operator(vectors: Sequence[UnitVectorQ]) -> Mat3Q:
     state equals the cycle correlation sum there.
     """
     check_cycle_vectors([u.v for u in vectors])
-    n = len(vectors)
+    matrices = [make_observable(u).matrix for u in vectors]
     total = Mat3Q.zero()
-    for i in range(n):
-        a = make_observable(vectors[i]).matrix
-        b = make_observable(vectors[(i + 1) % n]).matrix
+    for a, b in zip(matrices, matrices[1:] + matrices[:1]):
         total = total + mat_mul(a, b)
     return total
 

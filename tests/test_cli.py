@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from rational_kcbs import cli, contextuality
 from rational_kcbs.cli import main
+from rational_kcbs.contextuality import cycle_operator, kcbs_value, reference_scenario
 from rational_kcbs.rationals import format_rational, parse_rational
 from tests.conftest import REF_KCBS_VALUE
 
@@ -96,6 +98,8 @@ def test_reference_values_round_trip_exactly(capsys):
     assert value == REF_KCBS_VALUE
     corrs = [parse_rational(c) for c in report["per_correlator"]]
     assert sum(corrs) == value
+    # the report sums its own correlators; that must equal the public sum
+    assert value == kcbs_value(reference_scenario())
 
 
 # --------------------------------------------------------------- verify/evaluate
@@ -172,6 +176,32 @@ def test_evaluate_reports_invalid_too(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "evaluate", path)
     assert code == 1
     assert json.loads(out)["valid"] is False
+
+
+def test_evaluate_builds_each_observable_and_correlator_once(capsys, tmp_path, monkeypatch):
+    calls = {"make_observable": 0, "correlator": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name, getattr(contextuality, name))
+        for module in (contextuality, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+
+    path = write_config(tmp_path, REF_CONFIG)
+    code, _, _ = run_cli(capsys, "evaluate", path)
+    assert code == 0
+    assert calls == {"make_observable": 5, "correlator": 5}
+
+    vectors = reference_scenario().vectors
+    calls["make_observable"] = 0
+    cycle_operator(vectors)
+    assert calls["make_observable"] == 5
 
 
 # ---------------------------------------------------------------- config errors
@@ -263,6 +293,24 @@ def test_search_finds_and_round_trips(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "evaluate", path)
     assert code == 0
     assert json.loads(out)["value"] == hit["report"]["value"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reference"],
+        ["evaluate", "CONFIG"],
+        ["search", "--max-mn", "2", "--max-den", "50"],
+    ],
+)
+def test_negative_digits_exits_via_argparse(capsys, tmp_path, argv):
+    argv = [write_config(tmp_path, REF_CONFIG) if a == "CONFIG" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--digits", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--digits" in err
 
 
 def test_search_rejects_bad_bounds(capsys):
