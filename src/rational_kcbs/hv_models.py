@@ -9,11 +9,14 @@ Probabilistic (mixed) models need no separate treatment: the cycle sum is
 linear in the outcome distribution, so its minimum over the convex hull of
 deterministic assignments is attained at a deterministic one.
 
-Enumeration is capped at n = 25 (about 3e8 elementary operations).
+Enumeration is capped at n = 25 (about 3e8 elementary operations).  It runs
+once per n per process: the certified result depends only on n, so later
+calls reuse it from a cache.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +47,8 @@ def assignment_value(a: Assignment) -> int:
     return sum(o[i] * o[(i + 1) % n] for i in range(n))
 
 
+# typed: a float n such as 5.0 must keep raising TypeError once 5 is cached
+@functools.lru_cache(maxsize=None, typed=True)
 def classical_min_cycle(n: int) -> tuple[int, Assignment]:
     """Minimum of ``assignment_value`` over all 2^n assignments, with witness.
 
@@ -52,7 +57,8 @@ def classical_min_cycle(n: int) -> tuple[int, Assignment]:
     significant bit, so ascending masks are ascending lexicographic order);
     the value is n - 2 * (number of disagreeing adjacent pairs).
 
-    Raises ValueError for even n, n < 3, or n > 25.
+    Raises ValueError for even n, n < 3, or n > 25.  Results (immutable) are
+    cached per n; errors are not.
     """
     if n % 2 == 0 or n < 3:
         raise ValueError(f"cycle length must be odd and >= 3, got {n}")

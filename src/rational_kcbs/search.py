@@ -10,7 +10,9 @@ The construction works entirely on rational points of the unit sphere:
   normalization stays rational exactly when the integer cross product has a
   perfect-square squared length, tested with integer square roots only.
   Four of the five orthogonalities hold by placement; the cross product
-  supplies the remaining two.
+  supplies the remaining two.  ``search`` decides closure on the integer
+  triples before it builds any Fraction, so only closing pairs reach
+  ``build_pentagon``.
 * For each surviving pentagon, the optimal state is the eigenvector of the
   exact cycle operator for its smallest eigenvalue (computed numerically),
   then snapped back onto the rational sphere: project stereographically,
@@ -104,6 +106,19 @@ def normalized_cross(u: UnitVectorQ, v: UnitVectorQ) -> UnitVectorQ | None:
     if root is None:
         return None
     return UnitVectorQ(c / root)
+
+
+def _closes(t1: tuple[int, int, int], t2: tuple[int, int, int]) -> bool:
+    """Whether ``build_pentagon`` closes the pair with these circle triples.
+
+    (a1 b2)^2 + (b1 a2)^2 + (b1 b2)^2 is the squared length of
+    cross(v2, v4) * h1 * h2, an integer; it is a perfect square exactly when
+    the normalized cross is rational, whatever the z-signs of v2 and v4.
+    """
+    a1, b1, _ = t1
+    a2, b2, _ = t2
+    sq = (a1 * b2) ** 2 + (b1 * a2) ** 2 + (b1 * b2) ** 2
+    return math.isqrt(sq) ** 2 == sq
 
 
 def build_pentagon(
@@ -261,9 +276,12 @@ def search(max_mn: int, max_den: int, top_k: int) -> list[SearchHit]:
     if max_mn < 1 or max_den < 1 or top_k < 1:
         raise ValueError("search bounds must be positive")
     params = primitive_params(max_mn)
+    triples = [circle_triple(p) for p in params]
     hits: list[SearchHit] = []
-    for p1 in params:
-        for p2 in params:
+    for p1, t1 in zip(params, triples):
+        for p2, t2 in zip(params, triples):
+            if not _closes(t1, t2):
+                continue
             pentagon = build_pentagon(p1, p2)
             if pentagon is None:
                 continue

@@ -100,6 +100,20 @@ class TestClassicalMin:
         with pytest.raises(ValueError):
             classical_min_cycle(n)
 
+    def test_result_is_cached_per_n(self):
+        first = classical_min_cycle(7)
+        hits = classical_min_cycle.cache_info().hits
+        second = classical_min_cycle(7)
+        assert second is first
+        assert classical_min_cycle.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("n,error", [(4, ValueError), (27, ValueError), (5.0, TypeError)])
+    def test_invalid_n_raises_on_every_call(self, n, error):
+        classical_min_cycle(5)  # a cached 5 must not answer for 5.0
+        for _ in range(2):
+            with pytest.raises(error):
+                classical_min_cycle(n)
+
     def test_cap_is_inclusive(self):
         assert MAX_ENUMERATION_N == 25
         # n = 25 itself is legal but slow; just check the boundary rejection

@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,10 +15,12 @@ from rational_kcbs.contextuality import (
     kcbs_value_via_projections,
     validate_cycle,
 )
+from rational_kcbs.hv_models import is_violation
 from rational_kcbs.linalg3 import E_X, E_Y, E_Z, Vec3Q, dot, norm_sq
 from rational_kcbs.search import (
     CircleParams,
     SearchHit,
+    _closes,
     best_rational_approx,
     build_pentagon,
     circle_triple,
@@ -29,6 +33,9 @@ from rational_kcbs.search import (
     stereo_project,
 )
 from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, rand_fraction
+
+# the package's ``search`` attribute is the function, so fetch the module itself
+search_module = importlib.import_module("rational_kcbs.search")
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +386,63 @@ class TestSearch:
     def test_rejects_bad_bounds(self, args):
         with pytest.raises(ValueError):
             search(*args)
+
+
+def closable_pairs(max_mn):
+    """Every pair of primitive_params(max_mn) that build_pentagon closes."""
+    params = primitive_params(max_mn)
+    return [
+        (p1, p2, pentagon)
+        for p1 in params
+        for p2 in params
+        if (pentagon := build_pentagon(p1, p2)) is not None
+    ]
+
+
+class TestClosurePrefilter:
+    def test_integer_test_agrees_with_build_pentagon(self):
+        params = primitive_params(14)  # 12 holds no closing pair
+        closing = 0
+        for p1 in params:
+            for p2 in params:
+                closes = _closes(circle_triple(p1), circle_triple(p2))
+                closing += closes
+                for flips in itertools.product((False, True), repeat=2):
+                    built = build_pentagon(
+                        p1, p2, flip_v2_z=flips[0], flip_v4_z=flips[1]
+                    )
+                    assert closes == (built is not None), (p1, p2, flips)
+        assert 0 < closing < len(params) ** 2
+
+    def test_search_builds_only_closable_pairs(self, monkeypatch):
+        expected = len(closable_pairs(14))
+        calls = []
+        original = search_module.build_pentagon
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(search_module, "build_pentagon", counting)
+        search(max_mn=14, max_den=600, top_k=5)
+        assert len(calls) == expected < len(primitive_params(14)) ** 2
+
+    def test_search_matches_brute_force(self):
+        # The search pipeline run on every closable pair found by
+        # build_pentagon alone: the integer prefilter must drop no pair.
+        max_den = 600
+        expected = []
+        for p1, p2, pentagon in closable_pairs(20):
+            vec, _lam = optimal_state_numeric(pentagon)
+            state = rationalize_state(vec, max_den)
+            scenario = validate_cycle(state.v, [u.v for u in pentagon])
+            value = kcbs_value(scenario)
+            if is_violation(value, scenario.n):
+                expected.append((value, (p1, p2), scenario))
+        expected.sort(key=lambda e: (e[0], e[1][0].m, e[1][0].n, e[1][1].m, e[1][1].n))
+        hits = search(max_mn=20, max_den=max_den, top_k=1000)
+        assert 0 < len(expected) < 1000
+        assert [(h.value, h.params, h.scenario) for h in hits] == expected
 
 
 def test_search_hit_requires_violation():
