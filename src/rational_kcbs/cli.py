@@ -28,11 +28,17 @@ from .contextuality import (
     reference_scenario,
     validate_cycle,
 )
-from .hv_models import MAX_ENUMERATION_N, classical_min_cycle, is_violation
+from .hv_models import classical_min_cycle, is_violation
 from .linalg3 import Mat3Q, Vec3Q, commutator, mat_mul
 from .rationals import format_rational, parse_rational, to_decimal
+from .search import search
 
 DEFAULT_DIGITS = 3
+# Largest --digits: to_decimal renders 10**digits-scaled integers, and str()
+# of an int is capped at 4300 digits by default.
+MAX_DIGITS = 1000
+# Largest ``bound --n``: the pass is O(n) and prints an n-entry witness.
+MAX_BOUND_N = 100_001
 
 
 class ConfigError(ValueError):
@@ -101,12 +107,8 @@ def build_report(s: CycleScenario, digits: int) -> dict:
     corrs = [correlator(s, i) for i in range(s.n)]
     value = sum(corrs)
     checks = _run_checks(s, value, corrs)
-    if s.n <= MAX_ENUMERATION_N:
-        bound, _witness = classical_min_cycle(s.n)
-        checks["classical_bound_enumerated"] = True
-    else:
-        bound = -(s.n - 2)  # beyond the enumeration cap; closed form only
-        checks["classical_bound_enumerated"] = False
+    bound, _witness = classical_min_cycle(s.n)
+    checks["classical_bound_enumerated"] = True  # certified over all 2^n assignments
     return {
         "value": format_rational(value),
         "decimal": to_decimal(value, digits),
@@ -179,6 +181,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     try:
+        if args.n > MAX_BOUND_N:
+            raise ValueError(f"bound --n is limited to {MAX_BOUND_N}, got {args.n}")
         bound, witness = classical_min_cycle(args.n)
     except ValueError as exc:
         _note(f"INVALID: {exc}")
@@ -189,8 +193,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    from .search import search  # deferred: pulls in numpy
-
     try:
         hits = search(args.max_mn, args.max_den, args.top)
     except ValueError as exc:
@@ -221,9 +223,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _non_negative_int(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+def _digits(text: str) -> int:
+    if not 0 <= int(text) <= MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 0 to {MAX_DIGITS}, got {text}"
+        )
     return int(text)
 
 
@@ -248,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("config")
     evaluate.set_defaults(func=cmd_evaluate)
 
-    bound = sub.add_parser("bound", help="certify the classical cycle bound by enumeration")
+    bound = sub.add_parser("bound", help="certify the classical cycle bound over all 2^n assignments")
     bound.add_argument("--n", type=int, required=True)
     bound.set_defaults(func=cmd_bound)
 
@@ -259,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     srch.set_defaults(func=cmd_search)
 
     for cmd in (ref, evaluate, srch):
-        cmd.add_argument("--digits", type=_non_negative_int, default=DEFAULT_DIGITS)
+        cmd.add_argument("--digits", type=_digits, default=DEFAULT_DIGITS)
 
     return parser
 
@@ -268,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
         _note(f"error: {exc}")
         return 2
 

@@ -1,26 +1,23 @@
-"""Noncontextual hidden-variable bound certification by exhaustive enumeration.
+"""Noncontextual hidden-variable bound certification by an exact min-plus pass.
 
 A deterministic noncontextual model assigns every observable on the cycle a
 fixed outcome in {-1, +1}; the cycle correlation sum then becomes an integer
 sum of adjacent products.  ``classical_min_cycle`` certifies the minimum over
-all 2^n assignments by enumerating every one of them; the closed form
--(n - 2) for odd n is asserted afterwards as a cross-check, never assumed.
+all 2^n assignments with a min-plus product of the cycle's n 2x2 transfer
+matrices: every assignment is a path through that product, so the result is
+exhaustive, in O(n) integer work.  The closed form -(n - 2) for odd n is
+asserted afterwards as a cross-check, never assumed.
 Probabilistic (mixed) models need no separate treatment: the cycle sum is
 linear in the outcome distribution, so its minimum over the convex hull of
 deterministic assignments is attained at a deterministic one.
-
-Enumeration is capped at n = 25 (about 3e8 elementary operations).  It runs
-once per n per process: the certified result depends only on n, so later
-calls reuse it from a cache.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-MAX_ENUMERATION_N = 25
+_OUTCOMES = (-1, 1)  # lexicographic order: -1 < +1
 
 
 @dataclass(frozen=True)
@@ -47,40 +44,40 @@ def assignment_value(a: Assignment) -> int:
     return sum(o[i] * o[(i + 1) % n] for i in range(n))
 
 
-# typed: a float n such as 5.0 must keep raising TypeError once 5 is cached
-@functools.lru_cache(maxsize=None, typed=True)
 def classical_min_cycle(n: int) -> tuple[int, Assignment]:
     """Minimum of ``assignment_value`` over all 2^n assignments, with witness.
 
     The witness is the lexicographically smallest minimizer under -1 < +1.
-    Enumeration runs over bitmasks (bit set means +1, index 0 as the most
-    significant bit, so ascending masks are ascending lexicographic order);
-    the value is n - 2 * (number of disagreeing adjacent pairs).
+    A global sign flip keeps the value, so fixing a_0 = -1 loses nothing.  A
+    backward pass of suffix optima, closing edge included, gives the minimum;
+    the witness is then read front to back, taking -1 whenever it still
+    reaches that minimum.
 
-    Raises ValueError for even n, n < 3, or n > 25.  Results (immutable) are
-    cached per n; errors are not.
+    Raises TypeError for a non-int n, ValueError for even n or n < 3.
     """
+    if not isinstance(n, int):
+        raise TypeError(f"cycle length must be an int, got {n!r}")
     if n % 2 == 0 or n < 3:
         raise ValueError(f"cycle length must be odd and >= 3, got {n}")
-    if n > MAX_ENUMERATION_N:
-        raise ValueError(
-            f"enumeration capped at n = {MAX_ENUMERATION_N}, got {n}"
-        )
-    full = (1 << n) - 1
-    best = n + 1
-    witness_mask = 0
-    for mask in range(1 << n):
-        rotated = ((mask << 1) | (mask >> (n - 1))) & full
-        value = n - 2 * (mask ^ rotated).bit_count()
-        if value < best:
-            best = value
-            witness_mask = mask
-    outcomes = tuple(
-        1 if (witness_mask >> (n - 1 - i)) & 1 else -1 for i in range(n)
-    )
+    first = _OUTCOMES[0]
+    # suffix[i][k]: least sum of the edges a_i a_{i+1}, ..., a_{n-1} a_0
+    # given a_i = _OUTCOMES[k]
+    suffix = [()] * n
+    suffix[n - 1] = tuple(a * first for a in _OUTCOMES)
+    for i in range(n - 2, 0, -1):
+        after = tuple(zip(_OUTCOMES, suffix[i + 1]))
+        suffix[i] = tuple(min(a * b + s for b, s in after) for a in _OUTCOMES)
+    best = min(first * b + s for b, s in zip(_OUTCOMES, suffix[1]))
+    outcomes = [first]
+    rest = best  # what the edges from a_{i-1} on must still sum to
+    for i in range(1, n):
+        prev = outcomes[-1]
+        pick = next(b for b, s in zip(_OUTCOMES, suffix[i]) if prev * b + s == rest)
+        rest -= prev * pick
+        outcomes.append(pick)
     # For odd n the number of disagreeing adjacent pairs is always even, so
-    # the enumerated minimum must land exactly on -(n - 2).
-    assert best == -(n - 2), f"enumeration found {best}, expected {-(n - 2)}"
+    # the certified minimum must land exactly on -(n - 2).
+    assert best == -(n - 2), f"min-plus pass found {best}, expected {-(n - 2)}"
     return best, Assignment(outcomes)
 
 

@@ -48,6 +48,9 @@ from .hv_models import is_violation
 from .linalg3 import E_X, E_Y, Vec3Q, cross, norm_sq
 
 EIGEN_RESIDUAL_TOL = 1e-12
+# Largest max_mn of a search: it scans every ordered pair of the about
+# 0.2 * max_mn^2 parameters, about 4e6 pairs here.
+MAX_MN = 100
 
 
 @dataclass(frozen=True)
@@ -272,9 +275,11 @@ def search(max_mn: int, max_den: int, top_k: int) -> list[SearchHit]:
     rationally-closable ones, rationalize each pentagon's optimal state with
     plane denominators <= max_den, and return up to top_k exact violations,
     most negative first (ties in params order).  An empty list is a valid
-    result."""
+    result.  Raises ValueError for a non-positive bound or max_mn > MAX_MN."""
     if max_mn < 1 or max_den < 1 or top_k < 1:
         raise ValueError("search bounds must be positive")
+    if max_mn > MAX_MN:
+        raise ValueError(f"max_mn is limited to {MAX_MN}, got {max_mn}")
     params = primitive_params(max_mn)
     triples = [circle_triple(p) for p in params]
     hits: list[SearchHit] = []

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rational_kcbs import cli, contextuality
-from rational_kcbs.cli import main
+from rational_kcbs.cli import MAX_BOUND_N, MAX_DIGITS, main
 from rational_kcbs.contextuality import cycle_operator, kcbs_value, reference_scenario
 from rational_kcbs.rationals import format_rational, parse_rational
 from tests.conftest import REF_KCBS_VALUE
@@ -242,6 +242,30 @@ def test_unparseable_json_exits_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+def test_non_utf8_config_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(json.dumps(REF_CONFIG).encode("utf-16"))  # starts ff fe
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_evaluate_long_cycle_certifies_bound(capsys, tmp_path):
+    # e_x, e_y alternate and e_z closes the cycle: a valid 27-cycle
+    n = 27
+    config = {
+        "state": ["1", "0", "0"],
+        "vectors": [["1", "0", "0"], ["0", "1", "0"]] * (n // 2) + [["0", "0", "1"]],
+    }
+    code, out, _ = run_cli(capsys, "evaluate", write_config(tmp_path, config))
+    assert code == 0
+    report = json.loads(out)
+    assert report["classical_bound"] == -(n - 2)
+    assert report["checks"]["classical_bound_enumerated"] is True
+
+
 # --------------------------------------------------------------------- bound
 
 
@@ -258,7 +282,21 @@ def test_bound_triangle(capsys):
     assert payload["classical_bound"] == -1
 
 
-@pytest.mark.parametrize("n", ["4", "27", "0"])
+def test_bound_long_cycle(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--n", "27")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["classical_bound"] == -25
+    assert payload["witness"] == [-1, -1] + [1, -1] * 12 + [1]
+
+
+def test_bound_limit_is_inclusive(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--n", str(MAX_BOUND_N))
+    assert code == 0
+    assert json.loads(out)["classical_bound"] == -(MAX_BOUND_N - 2)
+
+
+@pytest.mark.parametrize("n", ["4", str(MAX_BOUND_N + 2), "0"])
 def test_bound_rejects_bad_length(capsys, n):
     code, out, err = run_cli(capsys, "bound", "--n", n)
     assert code == 1
@@ -295,14 +333,15 @@ def test_search_finds_and_round_trips(capsys, tmp_path):
     assert json.loads(out)["value"] == hit["report"]["value"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["reference"],
-        ["evaluate", "CONFIG"],
-        ["search", "--max-mn", "2", "--max-den", "50"],
-    ],
-)
+# the commands that take --digits; CONFIG stands for a valid config path
+DIGITS_COMMANDS = [
+    ["reference"],
+    ["evaluate", "CONFIG"],
+    ["search", "--max-mn", "2", "--max-den", "50"],
+]
+
+
+@pytest.mark.parametrize("argv", DIGITS_COMMANDS)
 def test_negative_digits_exits_via_argparse(capsys, tmp_path, argv):
     argv = [write_config(tmp_path, REF_CONFIG) if a == "CONFIG" else a for a in argv]
     with pytest.raises(SystemExit) as exc:
@@ -313,9 +352,33 @@ def test_negative_digits_exits_via_argparse(capsys, tmp_path, argv):
     assert "--digits" in err
 
 
+@pytest.mark.parametrize("argv", DIGITS_COMMANDS)
+def test_digits_above_limit_exit_via_argparse(capsys, tmp_path, argv):
+    argv = [write_config(tmp_path, REF_CONFIG) if a == "CONFIG" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--digits", str(MAX_DIGITS + 1)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--digits" in err
+
+
+def test_digits_limit_is_inclusive(capsys):
+    code, out, _ = run_cli(capsys, "reference", "--digits", str(MAX_DIGITS))
+    assert code == 0
+    assert json.loads(out)["decimal"].startswith("-3.940640")
+
+
 def test_search_rejects_bad_bounds(capsys):
     code, _, err = run_cli(capsys, "search", "--max-mn", "0")
     assert code == 1
+    assert err.startswith("INVALID")
+
+
+def test_search_over_size_limit_exits_1(capsys):
+    code, out, err = run_cli(capsys, "search", "--max-mn", "3000")
+    assert code == 1
+    assert out == ""
     assert err.startswith("INVALID")
 
 

@@ -18,6 +18,7 @@ from rational_kcbs.contextuality import (
 from rational_kcbs.hv_models import is_violation
 from rational_kcbs.linalg3 import E_X, E_Y, E_Z, Vec3Q, dot, norm_sq
 from rational_kcbs.search import (
+    MAX_MN,
     CircleParams,
     SearchHit,
     _closes,
@@ -386,6 +387,11 @@ class TestSearch:
     def test_rejects_bad_bounds(self, args):
         with pytest.raises(ValueError):
             search(*args)
+
+    def test_rejects_max_mn_over_limit(self):
+        # refused before the O(max_mn^4) pair scan starts
+        with pytest.raises(ValueError, match="max_mn"):
+            search(MAX_MN + 1, 10, 1)
 
 
 def closable_pairs(max_mn):
