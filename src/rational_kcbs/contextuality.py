@@ -34,6 +34,7 @@ from .linalg3 import (
     outer,
     quadratic_form,
 )
+from .rationals import format_rational
 
 ONE = Fraction(1)
 
@@ -120,7 +121,7 @@ def check_cycle_vectors(vectors: Sequence[Vec3Q]) -> None:
         if norm_sq(v) != ONE:
             raise CycleValidationError(
                 "vector-not-unit",
-                f"vector at index {i} is not unit: |v|^2 = {norm_sq(v)}",
+                f"vector at index {i} is not unit: |v|^2 = {format_rational(norm_sq(v))}",
                 index=i,
             )
     for i in range(n):
@@ -129,7 +130,7 @@ def check_cycle_vectors(vectors: Sequence[Vec3Q]) -> None:
         if d != 0:
             raise CycleValidationError(
                 "adjacent-not-orthogonal",
-                f"adjacent pair ({i}, {j}) is not orthogonal: dot = {d}",
+                f"adjacent pair ({i}, {j}) is not orthogonal: dot = {format_rational(d)}",
                 pair=(i, j),
             )
 
@@ -171,7 +172,7 @@ def validate_cycle(state: Vec3Q, vectors: Sequence[Vec3Q]) -> CycleScenario:
         )
     if norm_sq(state) != ONE:
         raise CycleValidationError(
-            "state-not-unit", f"state is not unit: |psi|^2 = {norm_sq(state)}"
+            "state-not-unit", f"state is not unit: |psi|^2 = {format_rational(norm_sq(state))}"
         )
     check_cycle_vectors(vectors)
     return CycleScenario(
@@ -209,8 +210,9 @@ def cycle_operator(vectors: Sequence[UnitVectorQ]) -> Mat3Q:
     """Exact operator  sum_i A_i A_{i+1}  for a cycle of directions.
 
     For a geometry that passes ``check_cycle_vectors`` this matrix is exactly
-    symmetric (commuting symmetric factors), and its quadratic form at any
-    state equals the cycle correlation sum there.
+    symmetric (commuting symmetric factors), equals n*I - 4*sum_i v_i v_i^T
+    (the identity the search aims by; this is its exact oracle), and its
+    quadratic form at any state equals the cycle correlation sum there.
     """
     check_cycle_vectors([u.v for u in vectors])
     matrices = [make_observable(u).matrix for u in vectors]

@@ -112,9 +112,6 @@ class Mat3Q:
         r = self.rows
         return r[0][1] == r[1][0] and r[0][2] == r[2][0] and r[1][2] == r[2][1]
 
-    def as_float_rows(self) -> list[list[float]]:
-        return [[float(e) for e in row] for row in self.rows]
-
     def __add__(self, other: "Mat3Q") -> "Mat3Q":
         return Mat3Q(
             tuple(

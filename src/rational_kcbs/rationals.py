@@ -15,6 +15,7 @@ floating point.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 Rational = Fraction
@@ -41,11 +42,20 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num_text))
 
 
+def _int_text(k: int) -> str:
+    # Exact, and unlike str(k) not capped by the interpreter's int-to-str
+    # digit limit (4300 digits by default).
+    return str(Decimal(k))
+
+
 def format_rational(r: Fraction) -> str:
-    """Render a rational in the wire format: ``p`` for integers, else ``p/q``."""
+    """Render a rational in the wire format: ``p`` for integers, else ``p/q``.
+
+    Every rational is rendered in full, however many digits it has.
+    """
     if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+        return _int_text(r.numerator)
+    return f"{_int_text(r.numerator)}/{_int_text(r.denominator)}"
 
 
 def to_decimal(r: Fraction, digits: int) -> str:

@@ -13,17 +13,20 @@ The construction works entirely on rational points of the unit sphere:
   supplies the remaining two.  ``search`` decides closure on the integer
   triples before it builds any Fraction, so only closing pairs reach
   ``build_pentagon``.
-* For each surviving pentagon, the optimal state is the eigenvector of the
-  exact cycle operator for its smallest eigenvalue (computed numerically),
-  then snapped back onto the rational sphere: project stereographically,
-  take best bounded-denominator approximations of the two plane coordinates,
-  and lift.  The lift of rational plane points is exactly unit by
+* For each surviving pentagon, the optimal state is aimed numerically.
+  Adjacent projectors of a valid cycle are orthogonal, so the cycle
+  operator is  sum_i A_i A_{i+1} = n*I - 4*G  with the 3x3 Gram matrix
+  G = sum_i v_i v_i^T, and the aim is the top eigenvector of the float G,
+  in closed form (``optimal_state_numeric``).  The aim is then snapped back
+  onto the rational sphere: project stereographically, take best
+  bounded-denominator approximations of the two plane coordinates, and
+  lift.  The lift of rational plane points is exactly unit by
   construction, which is why rationalization goes through the plane instead
   of rounding components and renormalizing (a rounded 3-vector almost never
   has a rational norm).
 * The snapped state is re-evaluated exactly; only exact values are reported.
 
-The numeric eigen-solve is the single non-exact step and only ever chooses
+The float eigenpair of G is the single non-exact step and only ever chooses
 where to aim; every accepted result is an exact rational certificate.
 """
 
@@ -34,13 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .contextuality import (
     CycleScenario,
     QutritState,
     UnitVectorQ,
-    cycle_operator,
+    check_cycle_vectors,
     kcbs_value,
     validate_cycle,
 )
@@ -200,49 +201,123 @@ def best_rational_approx(x: float | Fraction | int, max_den: int) -> Fraction:
     )
 
 
-def optimal_state_numeric(
-    vectors: Sequence[UnitVectorQ],
-) -> tuple[np.ndarray, float]:
-    """Numeric unit eigenvector of the exact cycle operator for its smallest
-    eigenvalue, with that eigenvalue.
+Float3 = tuple[float, float, float]
 
-    The operator is assembled exactly (and is exactly symmetric for a valid
-    cycle) before conversion to floats, so the only numeric error is the
-    eigen-solve itself, checked to residual 1e-12.
+
+def _float_dot(u: Sequence[float], v: Sequence[float]) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _float_cross(u: Sequence[float], v: Sequence[float]) -> Float3:
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _longest(*vs: Sequence[float]) -> Sequence[float]:
+    return max(vs, key=lambda v: _float_dot(v, v))
+
+
+def _unit(v: Sequence[float]) -> Float3:
+    length = math.sqrt(_float_dot(v, v))
+    return (v[0] / length, v[1] / length, v[2] / length)
+
+
+def _shifted(g: list[list[float]], s: float) -> list[list[float]]:
+    """g - s*I."""
+    return [[e - s if j == k else e for k, e in enumerate(row)] for j, row in enumerate(g)]
+
+
+def _eigenvector(g: list[list[float]], s: float) -> Float3:
+    """Unit eigenvector of g for its simple eigenvalue s: the longest cross
+    product of two rows of g - s*I, which it is orthogonal to."""
+    m = _shifted(g, s)
+    return _unit(_longest(_float_cross(m[0], m[1]), _float_cross(m[0], m[2]), _float_cross(m[1], m[2])))
+
+
+def _form(g: list[list[float]], u: Sequence[float], v: Sequence[float]) -> float:
+    """u^T g v."""
+    return _float_dot(u, [_float_dot(row, v) for row in g])
+
+
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def optimal_state_numeric(vectors: Sequence[UnitVectorQ]) -> tuple[Float3, float]:
+    """Numeric unit state minimizing the cycle sum, and that minimum: the
+    eigenpair of the cycle operator for its smallest eigenvalue.
+
+    The cycle is checked exactly first (``CycleValidationError``): exact
+    adjacent orthogonality makes  sum_i A_i A_{i+1} = n*I - 4*G  with the
+    Gram matrix G = sum_i v_i v_i^T, so the state is the top eigenvector u of
+    the float G and the minimum is n - 4*mu for its eigenvalue mu.  The
+    eigenvalues come from the trigonometric closed form for symmetric 3x3
+    matrices.  The eigenvector of the one farthest from the other two is the
+    longest cross product of two rows of G - lambda*I.  When that one is not
+    the largest, u solves the 2x2 problem in the plane orthogonal to the
+    smallest one's eigenvector, which stays accurate when the two largest are
+    close or equal.  G = q*I gives e_x.  Raises ArithmeticError unless the
+    pair solves n*I - 4*G to residual 1e-12.
     """
-    operator = cycle_operator(vectors)
-    if not operator.is_symmetric():
-        raise ArithmeticError("cycle operator is not symmetric; invalid cycle")
-    m = np.array(operator.as_float_rows())
-    eigenvalues, eigenvectors = np.linalg.eigh(m)
-    lam = float(eigenvalues[0])
-    vec = eigenvectors[:, 0]
-    residual = float(np.linalg.norm(m @ vec - lam * vec))
+    check_cycle_vectors([u.v for u in vectors])
+    n = len(vectors)
+    fv = [u.v.as_floats() for u in vectors]
+    g = [[math.fsum(v[j] * v[k] for v in fv) for k in range(3)] for j in range(3)]
+    q = (g[0][0] + g[1][1] + g[2][2]) / 3
+    d = _shifted(g, q)
+    p = math.sqrt(sum(e * e for row in d for e in row) / 6)
+    if p == 0:
+        mu, vec = q, (1.0, 0.0, 0.0)
+    else:
+        # the eigenvalues are q + 2p cos(phi + 2k pi/3) with
+        # cos(3 phi) = det((G - q*I) / p) / 2: k = 0 the largest, k = 1 the
+        # smallest; half_det >= 0 puts the largest farthest from the others
+        half_det = _float_dot(d[0], _float_cross(d[1], d[2])) / (2 * p**3)
+        phi = math.acos(max(-1.0, min(1.0, half_det))) / 3
+        if half_det >= 0:
+            mu = q + 2 * p * math.cos(phi)
+            vec = _eigenvector(g, mu)
+        else:
+            w = _eigenvector(g, q + 2 * p * math.cos(phi + 2 * math.pi / 3))
+            e1 = _unit(_longest(*(_float_cross(w, axis) for axis in _AXES)))
+            e2 = _float_cross(w, e1)
+            a, b, c = _form(g, e1, e1), _form(g, e1, e2), _form(g, e2, e2)
+            theta = math.atan2(2 * b, a - c) / 2
+            vec = _unit([math.cos(theta) * x + math.sin(theta) * y for x, y in zip(e1, e2)])
+            mu = (a + c) / 2 + math.hypot((a - c) / 2, b)
+    lam = n - 4 * mu
+    operator = [[(n if j == k else 0) - 4 * e for k, e in enumerate(row)] for j, row in enumerate(g)]
+    r = [_float_dot(row, vec) - lam * c for row, c in zip(operator, vec)]
+    residual = math.sqrt(_float_dot(r, r))
     if residual > EIGEN_RESIDUAL_TOL:
         raise ArithmeticError(f"eigen-solve residual {residual} exceeds tolerance")
     return vec, lam
 
 
-def rationalize_state(v: Sequence[float] | np.ndarray, max_den: int) -> QutritState:
-    """Snap a numerically-unit 3-vector to an exactly-unit rational state.
+def rationalize_state(v: Sequence[float], max_den: int) -> QutritState:
+    """Snap a numerically-unit 3-vector of floats to an exactly-unit rational
+    state.
 
     The overall sign is flipped if z < 0 (states are sign-insensitive), which
     keeps the stereographic chart away from its pole; the two plane
     coordinates are then approximated with denominators <= max_den and lifted
-    back, so the result is exactly unit regardless of max_den.
+    back, so the result is exactly unit regardless of max_den.  Raises
+    ValueError for a length other than 3 or a norm not within 1e-6 of 1.
     """
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
-    nrm = float(np.linalg.norm(arr))
-    if abs(nrm - 1.0) > 1e-6:
+    if len(v) != 3:
+        raise ValueError(f"expected a 3-vector, got {len(v)} components")
+    x, y, z = (float(c) for c in v)
+    nrm = math.hypot(x, y, z)
+    if not abs(nrm - 1.0) <= 1e-6:  # a NaN norm fails too
         raise ValueError(f"input norm {nrm} is not within 1e-6 of 1")
-    if arr[2] < 0:
-        arr = -arr
-    assert arr[2] > -0.5, "pole is unreachable after the sign flip"
-    denom = 1.0 + float(arr[2])
-    p = best_rational_approx(float(arr[0]) / denom, max_den)
-    q = best_rational_approx(float(arr[1]) / denom, max_den)
+    if z < 0:
+        x, y, z = -x, -y, -z
+    assert z > -0.5, "pole is unreachable after the sign flip"
+    denom = 1.0 + z
+    p = best_rational_approx(x / denom, max_den)
+    q = best_rational_approx(y / denom, max_den)
     return QutritState(stereo_lift(p, q).v)
 
 

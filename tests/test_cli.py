@@ -9,6 +9,7 @@ from rational_kcbs import cli, contextuality
 from rational_kcbs.cli import MAX_BOUND_N, MAX_DIGITS, main
 from rational_kcbs.contextuality import cycle_operator, kcbs_value, reference_scenario
 from rational_kcbs.rationals import format_rational, parse_rational
+from rational_kcbs.search import stereo_lift
 from tests.conftest import REF_KCBS_VALUE
 
 REF_CONFIG = {
@@ -60,6 +61,30 @@ def config_variant(**overrides):
     data = {k: json.loads(json.dumps(v)) for k, v in REF_CONFIG.items()}
     data.update(overrides)
     return data
+
+
+def huge_state_config():
+    """The reference pentagon with an exactly unit state whose components
+    have about 4000-digit numerators and denominators (below the 4300-digit
+    int-to-str limit), so the report's value has about 8000-digit ones."""
+    p = Fraction(3**2000 + 1, 7**1180)
+    q = Fraction(-(5**1400), 11**950)
+    state = stereo_lift(p, q).v
+    return config_variant(state=[format_rational(c) for c in state.as_tuple()]), state
+
+
+def fraction_in_chunks(r):
+    """``p/q`` with the digits converted 1000 at a time, so that no single
+    int-to-str conversion meets the interpreter's digit limit."""
+
+    def digits(k):
+        sign, k, chunks = "-" if k < 0 else "", abs(k), []
+        while k >= 10**1000:
+            k, low = divmod(k, 10**1000)
+            chunks.append(str(low).zfill(1000))
+        return sign + str(k) + "".join(reversed(chunks))
+
+    return f"{digits(r.numerator)}/{digits(r.denominator)}"
 
 
 # ------------------------------------------------------------------ reference
@@ -176,6 +201,34 @@ def test_evaluate_reports_invalid_too(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "evaluate", path)
     assert code == 1
     assert json.loads(out)["valid"] is False
+
+
+def test_huge_state_is_verified_and_evaluated_in_full(capsys, tmp_path):
+    data, state = huge_state_config()
+    path = write_config(tmp_path, data)
+    assert min(len(c) for c in data["state"]) > 7900
+    code, out, _ = run_cli(capsys, "verify", path)
+    assert code == 0 and json.loads(out)["valid"] is True
+    code, out, _ = run_cli(capsys, "evaluate", path)
+    assert code == 0
+    report = json.loads(out)
+    value = kcbs_value(contextuality.validate_cycle(state, contextuality.REFERENCE_VECTORS))
+    assert value.denominator > 10**7900
+    assert report["value"] == fraction_in_chunks(value)
+    assert all(report["checks"].values())
+
+
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+def test_huge_invalid_state_names_its_invariant(capsys, tmp_path, command):
+    data, state = huge_state_config()
+    x, y, z = state.as_tuple()
+    data["state"] = [format_rational(c) for c in (x, y, z + Fraction(1, 10**200))]
+    code, out, _ = run_cli(capsys, command, write_config(tmp_path, data))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["invariant"] == "state-not-unit"
+    norm_sq = x * x + y * y + (z + Fraction(1, 10**200)) ** 2
+    assert payload["message"].endswith(fraction_in_chunks(norm_sq))
 
 
 def test_evaluate_builds_each_observable_and_correlator_once(capsys, tmp_path, monkeypatch):

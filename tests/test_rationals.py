@@ -49,6 +49,13 @@ class TestFormat:
         assert format_rational(Fraction(48, 73)) == "48/73"
         assert format_rational(Fraction(-55, 73)) == "-55/73"
 
+    def test_beyond_the_int_to_str_digit_limit(self):
+        # str() of an int above 4300 digits raises ValueError by default
+        big = 10**5000 + 1
+        assert format_rational(Fraction(big, 3)) == "1" + "0" * 4999 + "1/3"
+        assert format_rational(Fraction(-7, big)) == "-7/1" + "0" * 4999 + "1"
+        assert format_rational(Fraction(-big)) == "-1" + "0" * 4999 + "1"
+
     def test_round_trip(self):
         rng = random.Random(20240611)
         for _ in range(500):

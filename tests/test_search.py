@@ -1,8 +1,13 @@
 import importlib
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +16,13 @@ from rational_kcbs.contextuality import (
     CycleValidationError,
     UnitVectorQ,
     check_cycle_vectors,
+    cycle_operator,
     kcbs_value,
     kcbs_value_via_projections,
     validate_cycle,
 )
 from rational_kcbs.hv_models import is_violation
-from rational_kcbs.linalg3 import E_X, E_Y, E_Z, Vec3Q, dot, norm_sq
+from rational_kcbs.linalg3 import E_X, E_Y, E_Z, Mat3Q, Vec3Q, dot, norm_sq, outer
 from rational_kcbs.search import (
     MAX_MN,
     CircleParams,
@@ -291,6 +297,151 @@ class TestOptimalStateNumeric:
             optimal_state_numeric((UnitVectorQ(E_X), UnitVectorQ(E_Y), UnitVectorQ(E_Y)))
 
 
+@pytest.fixture(scope="module")
+def pentagons_30():
+    """Every pentagon ``build_pentagon`` closes in primitive_params(30), under
+    all four z-flip combinations."""
+    pentagons = []
+    for p1, p2, _pentagon in closable_pairs(30):
+        for flips in itertools.product((False, True), repeat=2):
+            pentagon = build_pentagon(p1, p2, flip_v2_z=flips[0], flip_v4_z=flips[1])
+            assert pentagon is not None, (p1, p2, flips)
+            pentagons.append(pentagon)
+    assert len(pentagons) == 4 * 24
+    return pentagons
+
+
+def rotation(a, b, c, d):
+    """Rows of the rational rotation of the integer quaternion a + bi + cj + dk."""
+    s = a * a + b * b + c * c + d * d
+    return [
+        Vec3Q(Fraction(a * a + b * b - c * c - d * d, s), Fraction(2 * (b * c - a * d), s),
+              Fraction(2 * (b * d + a * c), s)),
+        Vec3Q(Fraction(2 * (b * c + a * d), s), Fraction(a * a - b * b + c * c - d * d, s),
+              Fraction(2 * (c * d - a * b), s)),
+        Vec3Q(Fraction(2 * (b * d - a * c), s), Fraction(2 * (c * d + a * b), s),
+              Fraction(a * a - b * b - c * c + d * d, s)),
+    ]
+
+
+def rotated(rows, vectors):
+    return [UnitVectorQ(Vec3Q(*(dot(row, v) for row in rows))) for v in vectors]
+
+
+def odd_cycle(rng, n):
+    """A rational odd n-cycle: a rotated orthonormal triangle, grown by
+    detours a -> x -> a with x a rational unit vector orthogonal to a."""
+    rows = rotation(*(rng.randint(-4, 4) for _ in range(3)), 1)
+    cycle = [(rows[0], rows[1], rows[2]), (rows[1], rows[2], rows[0]), (rows[2], rows[0], rows[1])]
+    while len(cycle) < n:
+        at = rng.randrange(len(cycle))
+        a, b, c = cycle[at]
+        odd, even, hyp = circle_triple(rng.choice(primitive_params(9)))
+        cos, sin = Fraction(odd, hyp), Fraction(rng.choice((-1, 1)) * even, hyp)
+        x, y = b * cos + c * sin, c * cos - b * sin
+        cycle[at + 1:at + 1] = [(x, y, a), (a, b, c)]
+    return [UnitVectorQ(v) for v, _, _ in cycle]
+
+
+ODD_CYCLES = [odd_cycle(random.Random(n), n) for n in range(3, 24, 2)]
+
+# G = I; G = diag(3, 2, 2), rotated (a repeated smaller eigenvalue);
+# G = diag(3, 4, 2); G = diag(2, 2, 1) (a repeated largest eigenvalue)
+SPECIAL_CYCLES = {
+    "identity": [UnitVectorQ(v) for v in (E_X, E_Y, E_Z)],
+    "repeated-smaller": rotated(rotation(1, 2, -1, 3), (E_X, E_Y, E_X, E_Z, E_X, E_Y, E_Z)),
+    "diagonal": [UnitVectorQ(v) for v in (E_X, E_Y, E_X, E_Y, E_X, E_Z, E_Y, E_Z, E_Y)],
+    "repeated-largest": [UnitVectorQ(v) for v in (E_X, E_Y, E_X, E_Y, E_Z)],
+}
+
+
+def gram(vectors):
+    total = Mat3Q.zero()
+    for u in vectors:
+        total = total + outer(u.v, u.v)
+    return total
+
+
+def eigh_of_cycle_operator(vectors):
+    """Smallest eigenpair of the exact cycle operator by numpy.linalg.eigh."""
+    op = cycle_operator(vectors)
+    eigenvalues, eigenvectors = np.linalg.eigh(np.array([[float(e) for e in row] for row in op.rows]))
+    return eigenvectors[:, 0], float(eigenvalues[0]), eigenvalues
+
+
+class TestGramAim:
+    """The aim is the top eigenvector of the Gram matrix G = sum v v^T."""
+
+    def test_cycle_operator_is_n_minus_four_gram(self, pentagons_30):
+        for vectors in pentagons_30 + ODD_CYCLES + list(SPECIAL_CYCLES.values()):
+            n = len(vectors)
+            assert cycle_operator(vectors) == n * Mat3Q.identity() - 4 * gram(vectors)
+
+    def test_eigenpair_matches_eigh(self, pentagons_30):
+        unique = pentagons_30 + ODD_CYCLES[2:] + [
+            SPECIAL_CYCLES["repeated-smaller"], SPECIAL_CYCLES["diagonal"]
+        ]
+        for vectors in unique:
+            vec, lam = optimal_state_numeric(vectors)
+            ref_vec, ref_lam, eigenvalues = eigh_of_cycle_operator(vectors)
+            assert eigenvalues[1] - eigenvalues[0] > 1e-3  # the eigenvector is unique
+            assert abs(lam - ref_lam) < 1e-12
+            assert abs(abs(float(np.dot(vec, ref_vec))) - 1) < 1e-12
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [SPECIAL_CYCLES["identity"], SPECIAL_CYCLES["repeated-largest"], *ODD_CYCLES[:2]],
+        ids=["identity", "repeated-largest", "triangle", "triangle-and-detour"],
+    )
+    def test_degenerate_eigenvalue(self, vectors):
+        # the smallest eigenvalue of the operator is repeated, so every unit
+        # vector of its eigenspace is an optimal state
+        vec, lam = optimal_state_numeric(vectors)
+        _ref_vec, ref_lam, eigenvalues = eigh_of_cycle_operator(vectors)
+        assert abs(eigenvalues[1] - eigenvalues[0]) < 1e-12
+        assert abs(lam - ref_lam) < 1e-12
+        assert abs(math.hypot(*vec) - 1) < 1e-12
+        op = np.array([[float(e) for e in row] for row in cycle_operator(vectors).rows])
+        assert np.linalg.norm(op @ np.array(vec) - ref_lam * np.array(vec)) < 1e-12
+
+    def test_identity_aims_at_e_x(self):
+        assert optimal_state_numeric(SPECIAL_CYCLES["identity"]) == ((1.0, 0.0, 0.0), -1.0)
+
+    @pytest.mark.parametrize("max_den", [10, 10**3, 10**6])
+    def test_search_matches_eigh_aim(self, monkeypatch, max_den):
+        # each hit depends only on its pair and max_den, so max_mn = 30 also
+        # covers every smaller max_mn
+        hits = search(30, max_den, 10**6)
+        monkeypatch.setattr(
+            search_module, "optimal_state_numeric", lambda vs: eigh_of_cycle_operator(vs)[:2]
+        )
+        reference = search(30, max_den, 10**6)
+        assert len(reference) > 0
+        assert [(h.value, h.params, h.scenario) for h in hits] == [
+            (h.value, h.params, h.scenario) for h in reference
+        ]
+
+    def test_package_imports_and_searches_without_numpy(self, default_hits):
+        script = (
+            "import sys\n"
+            "import rational_kcbs\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "sys.modules['numpy'] = None\n"
+            "from rational_kcbs.cli import main\n"
+            "sys.exit(main(['search', '--max-mn', '14']))\n"
+        )
+        src = Path(search_module.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=False,
+            cwd=src, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert [(h["params"]["first"]["m"], h["params"]["first"]["n"]) for h in json.loads(result.stdout)] == [
+            (h.params[0].m, h.params[0].n) for h in default_hits
+        ]
+
+
 class TestRationalizeState:
     def test_axis_fixed_points(self):
         assert rationalize_state([0.0, 0.0, 1.0], 10).v == Vec3Q(0, 0, 1)
@@ -323,6 +474,9 @@ class TestRationalizeState:
             rationalize_state([0.9, 0.0, 0.0], 10)
         with pytest.raises(ValueError):
             rationalize_state([1.0, 0.0], 10)
+        for bad in ([0.0, 0.0, math.nan], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="norm"):
+                rationalize_state(bad, 10)
 
 
 # --------------------------------------------------------------------- search
