@@ -24,7 +24,6 @@ from .linalg3 import (
 from .contextuality import (
     CycleScenario,
     CycleValidationError,
-    DichotomicObservable,
     QutritState,
     UnitVectorQ,
     correlator,
@@ -48,7 +47,6 @@ from .search import (
     best_rational_approx,
     build_pentagon,
     circle_triple,
-    normalized_cross,
     optimal_state_numeric,
     rationalize_state,
     search,

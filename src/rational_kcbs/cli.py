@@ -4,7 +4,8 @@ Machine-readable JSON goes to stdout, a one-line human summary to stderr.
 All fractions are serialized as strings in the ``p`` / ``p/q`` wire format,
 never as floating-point JSON numbers, so output re-parses to the exact
 computed values.  Exit codes: 0 success/valid, 1 validation failure (the
-failing invariant is named), 2 I/O, parse or argument error.
+failing invariant is named), 2 I/O, parse or argument error (JSON nested too
+deeply or holding an oversized number included).
 
 Config file schema (UTF-8 JSON)::
 
@@ -34,8 +35,8 @@ from .rationals import format_rational, parse_rational, to_decimal
 from .search import search
 
 DEFAULT_DIGITS = 3
-# Largest --digits: to_decimal renders 10**digits-scaled integers, and str()
-# of an int is capped at 4300 digits by default.
+# Largest --digits: a limit on the size of a request (to_decimal itself
+# renders any number of digits).
 MAX_DIGITS = 1000
 # Largest ``bound --n``: the pass is O(n) and prints an n-entry witness.
 MAX_BOUND_N = 100_001
@@ -55,10 +56,19 @@ def _parse_triple(raw: Any, what: str) -> Vec3Q:
 
 
 def load_config(path: str) -> tuple[Vec3Q, list[Vec3Q]]:
-    """Read and parse a config file; raises OSError, json.JSONDecodeError,
-    or ConfigError.  Validation of the parsed scenario happens separately."""
+    """Read and parse a config file; raises OSError, UnicodeDecodeError,
+    json.JSONDecodeError, or ConfigError.  Validation of the parsed scenario
+    happens separately."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise ConfigError("config JSON is nested too deeply") from None
+    except ValueError as exc:  # an integer beyond the int-from-string digit limit
+        raise ConfigError(f"config JSON has an oversized number: {exc}") from None
     if not isinstance(data, dict) or set(data) != {"state", "vectors"}:
         raise ConfigError('config must be an object with exactly "state" and "vectors"')
     state = _parse_triple(data["state"], "state")
@@ -86,11 +96,10 @@ def _run_checks(s: CycleScenario, value: Fraction, corrs: list[Fraction]) -> dic
     """Exact re-checks of the named invariants, reported alongside results."""
     observables = s.observables
     identity = Mat3Q.identity()
-    square_ok = all(mat_mul(o.matrix, o.matrix) == identity for o in observables)
-    trace_ok = all(o.matrix.trace() == -1 for o in observables)
+    square_ok = all(mat_mul(a, a) == identity for a in observables)
+    trace_ok = all(a.trace() == -1 for a in observables)
     commute_ok = all(
-        commutator(observables[i].matrix, observables[(i + 1) % s.n].matrix)
-        == Mat3Q.zero()
+        commutator(observables[i], observables[(i + 1) % s.n]) == Mat3Q.zero()
         for i in range(s.n)
     )
     return {

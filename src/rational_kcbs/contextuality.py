@@ -1,8 +1,10 @@
 """Cycle contextuality scenarios over exact rational qutrit geometry.
 
 A scenario is a unit state plus an odd cycle of unit directions whose
-adjacent pairs (indices mod n) are exactly orthogonal.  Each direction v
-carries the dichotomic observable ``2|v><v| - 1`` with outcomes +-1; adjacent
+adjacent pairs (indices mod n) are exactly orthogonal.  The unit types
+(``QutritState``, ``UnitVectorQ``) own the norm checks; ``CycleScenario``
+owns the rest.  Each direction v carries the dichotomic observable
+``2|v><v| - 1`` with outcomes +-1, held as that ``Mat3Q``; adjacent
 orthogonality makes adjacent observables commute, so each adjacent pair is
 jointly measurable and the cycle correlation sum is well defined.  The
 pentagon (n = 5) is the default; everything here works for any odd n >= 3
@@ -62,10 +64,9 @@ class UnitVectorQ:
     v: Vec3Q
 
     def __post_init__(self):
-        if norm_sq(self.v) != ONE:
-            raise ValueError(
-                f"not a unit vector: |v|^2 = {norm_sq(self.v)} for {self.v}"
-            )
+        length_sq = norm_sq(self.v)
+        if length_sq != ONE:
+            raise ValueError(f"not a unit vector: |v|^2 = {length_sq} for {self.v}")
 
 
 @dataclass(frozen=True)
@@ -75,33 +76,18 @@ class QutritState:
     v: Vec3Q
 
     def __post_init__(self):
-        if norm_sq(self.v) != ONE:
-            raise ValueError(
-                f"not a unit state: |psi|^2 = {norm_sq(self.v)} for {self.v}"
-            )
+        length_sq = norm_sq(self.v)
+        if length_sq != ONE:
+            raise ValueError(f"not a unit state: |psi|^2 = {length_sq} for {self.v}")
 
 
-@dataclass(frozen=True)
-class DichotomicObservable:
-    """Observable ``2|v><v| - 1`` with outcomes +-1 for a unit direction v."""
-
-    matrix: Mat3Q
-    source_vector: UnitVectorQ
-
-    def __post_init__(self):
-        expected = 2 * outer(self.source_vector.v, self.source_vector.v) - Mat3Q.identity()
-        if self.matrix != expected:
-            raise ValueError("observable matrix is not 2|v><v| - 1 for its source vector")
-
-
-def make_observable(v: UnitVectorQ) -> DichotomicObservable:
-    """Build the +-1-valued observable for direction v.
+def make_observable(v: UnitVectorQ) -> Mat3Q:
+    """The +-1-valued observable ``2|v><v| - 1`` for direction v.
 
     The result is symmetric, has trace -1, and squares to the identity; all
-    three follow exactly from |v|^2 = 1.
+    three follow exactly from |v|^2 = 1, which the type guarantees.
     """
-    matrix = 2 * outer(v.v, v.v) - Mat3Q.identity()
-    return DichotomicObservable(matrix=matrix, source_vector=v)
+    return 2 * outer(v.v, v.v) - Mat3Q.identity()
 
 
 def projector(v: UnitVectorQ) -> Mat3Q:
@@ -109,24 +95,22 @@ def projector(v: UnitVectorQ) -> Mat3Q:
     return outer(v.v, v.v)
 
 
-def check_cycle_vectors(vectors: Sequence[Vec3Q]) -> None:
-    """Check the direction geometry of a cycle: odd n >= 3, exact unit norms,
-    exact adjacent orthogonality.  Raises CycleValidationError."""
-    n = len(vectors)
+def _check_length(n: int) -> None:
     if n < 3 or n % 2 == 0:
         raise CycleValidationError(
             "cycle-length", f"cycle length must be odd and >= 3, got {n}"
         )
-    for i, v in enumerate(vectors):
-        if norm_sq(v) != ONE:
-            raise CycleValidationError(
-                "vector-not-unit",
-                f"vector at index {i} is not unit: |v|^2 = {format_rational(norm_sq(v))}",
-                index=i,
-            )
+
+
+def check_cycle_vectors(vectors: Sequence[UnitVectorQ]) -> None:
+    """Check what the unit type does not guarantee of a cycle's directions:
+    odd n >= 3 and exact adjacent orthogonality.  Raises
+    CycleValidationError."""
+    n = len(vectors)
+    _check_length(n)
     for i in range(n):
         j = (i + 1) % n
-        d = dot(vectors[i], vectors[j])
+        d = dot(vectors[i].v, vectors[j].v)
         if d != 0:
             raise CycleValidationError(
                 "adjacent-not-orthogonal",
@@ -139,22 +123,24 @@ def check_cycle_vectors(vectors: Sequence[Vec3Q]) -> None:
 class CycleScenario:
     """A validated odd cycle of compatible directions plus a state.
 
-    Repeated vectors are permitted (degenerate cycles satisfy every stated
-    invariant and make useful trivial fixtures).
+    The unit norms are guaranteed by the field types; construction checks
+    the rest (``check_cycle_vectors``).  Repeated vectors are permitted
+    (degenerate cycles satisfy every stated invariant and make useful
+    trivial fixtures).
     """
 
     state: QutritState
     vectors: tuple[UnitVectorQ, ...]
 
     def __post_init__(self):
-        check_cycle_vectors([u.v for u in self.vectors])
+        check_cycle_vectors(self.vectors)
 
     @property
     def n(self) -> int:
         return len(self.vectors)
 
     @cached_property
-    def observables(self) -> tuple[DichotomicObservable, ...]:
+    def observables(self) -> tuple[Mat3Q, ...]:
         """The direction observables: the one place a scenario builds them."""
         return tuple(make_observable(u) for u in self.vectors)
 
@@ -164,20 +150,26 @@ def validate_cycle(state: Vec3Q, vectors: Sequence[Vec3Q]) -> CycleScenario:
     CycleValidationError naming the first violated invariant.
 
     Check order: cycle length, state norm, per-vector norms, adjacency.
+    Each norm is checked once, by the unit type wrapping it.
     """
-    n = len(vectors)
-    if n < 3 or n % 2 == 0:
-        raise CycleValidationError(
-            "cycle-length", f"cycle length must be odd and >= 3, got {n}"
-        )
-    if norm_sq(state) != ONE:
+    _check_length(len(vectors))
+    try:
+        psi = QutritState(state)
+    except ValueError:
         raise CycleValidationError(
             "state-not-unit", f"state is not unit: |psi|^2 = {format_rational(norm_sq(state))}"
-        )
-    check_cycle_vectors(vectors)
-    return CycleScenario(
-        state=QutritState(state), vectors=tuple(UnitVectorQ(v) for v in vectors)
-    )
+        ) from None
+    units = []
+    for i, v in enumerate(vectors):
+        try:
+            units.append(UnitVectorQ(v))
+        except ValueError:
+            raise CycleValidationError(
+                "vector-not-unit",
+                f"vector at index {i} is not unit: |v|^2 = {format_rational(norm_sq(v))}",
+                index=i,
+            ) from None
+    return CycleScenario(state=psi, vectors=tuple(units))
 
 
 def correlator(s: CycleScenario, i: int) -> Fraction:
@@ -186,8 +178,8 @@ def correlator(s: CycleScenario, i: int) -> Fraction:
     Always lies in [-1, 1].  Raises IndexError outside 0 <= i < n."""
     if not 0 <= i < s.n:
         raise IndexError(f"correlator index {i} out of range for n = {s.n}")
-    a = s.observables[i].matrix
-    b = s.observables[(i + 1) % s.n].matrix
+    a = s.observables[i]
+    b = s.observables[(i + 1) % s.n]
     return dot(mat_vec(a, s.state.v), mat_vec(b, s.state.v))
 
 
@@ -214,8 +206,8 @@ def cycle_operator(vectors: Sequence[UnitVectorQ]) -> Mat3Q:
     (the identity the search aims by; this is its exact oracle), and its
     quadratic form at any state equals the cycle correlation sum there.
     """
-    check_cycle_vectors([u.v for u in vectors])
-    matrices = [make_observable(u).matrix for u in vectors]
+    check_cycle_vectors(vectors)
+    matrices = [make_observable(u) for u in vectors]
     total = Mat3Q.zero()
     for a, b in zip(matrices, matrices[1:] + matrices[:1]):
         total = total + mat_mul(a, b)

@@ -62,15 +62,15 @@ def to_decimal(r: Fraction, digits: int) -> str:
     """Render ``r`` as a decimal string with exactly ``digits`` fractional digits.
 
     Rounding is half-away-from-zero, computed by exact integer long division
-    (no floating point anywhere).  A result that rounds to zero is rendered
-    without a sign.
+    (no floating point anywhere), and rendered in full however many digits
+    it has.  A result that rounds to zero is rendered without a sign.
     """
     if digits < 0:
         raise ValueError(f"digits must be >= 0, got {digits}")
     quotient, remainder = divmod(abs(r.numerator) * 10**digits, r.denominator)
     if 2 * remainder >= r.denominator:
         quotient += 1
-    body = str(quotient).rjust(digits + 1, "0")
+    body = _int_text(quotient).rjust(digits + 1, "0")
     if digits:
         body = f"{body[:-digits]}.{body[-digits:]}"
     sign = "-" if r < 0 and quotient else ""

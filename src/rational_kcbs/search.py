@@ -7,12 +7,13 @@ The construction works entirely on rational points of the unit sphere:
 * ``build_pentagon`` places v0 = e_x, v1 = e_y, puts v2 in the x-z plane and
   v4 in the y-z plane from two such triples (z-components negative by
   default), and closes the cycle with v3 = cross(v2, v4) normalized.  That
-  normalization stays rational exactly when the integer cross product has a
-  perfect-square squared length, tested with integer square roots only.
-  Four of the five orthogonalities hold by placement; the cross product
-  supplies the remaining two.  ``search`` decides closure on the integer
-  triples before it builds any Fraction, so only closing pairs reach
-  ``build_pentagon``.
+  normalization stays rational exactly when the integer cross product
+  h1*h2*cross(v2, v4) has a perfect-square squared length; v3 is then that
+  integer vector over its integer length.  Four of the five
+  orthogonalities hold by placement; the cross product supplies the
+  remaining two.  One integer test decides closure, and ``search`` applies
+  it to the triples before it builds any Fraction, so only closing pairs
+  reach ``build_pentagon``.
 * For each surviving pentagon, the optimal state is aimed numerically.
   Adjacent projectors of a valid cycle are orthogonal, so the cycle
   operator is  sum_i A_i A_{i+1} = n*I - 4*G  with the 3x3 Gram matrix
@@ -24,7 +25,9 @@ The construction works entirely on rational points of the unit sphere:
   construction, which is why rationalization goes through the plane instead
   of rounding components and renormalizing (a rounded 3-vector almost never
   has a rational norm).
-* The snapped state is re-evaluated exactly; only exact values are reported.
+* The snapped state and the pentagon, both already typed as unit, form the
+  scenario directly, and it is evaluated exactly; only exact values are
+  reported.
 
 The float eigenpair of G is the single non-exact step and only ever chooses
 where to aim; every accepted result is an exact rational certificate.
@@ -43,10 +46,9 @@ from .contextuality import (
     UnitVectorQ,
     check_cycle_vectors,
     kcbs_value,
-    validate_cycle,
 )
 from .hv_models import is_violation
-from .linalg3 import E_X, E_Y, Vec3Q, cross, norm_sq
+from .linalg3 import E_X, E_Y, Vec3Q
 
 EIGEN_RESIDUAL_TOL = 1e-12
 # Largest max_mn of a search: it scans every ordered pair of the about
@@ -80,49 +82,28 @@ def circle_triple(p: CircleParams) -> tuple[int, int, int]:
     return (p.m * p.m - p.n * p.n, 2 * p.m * p.n, p.m * p.m + p.n * p.n)
 
 
-def _rational_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational.
+def _closing_cross(
+    t1: tuple[int, int, int], t2: tuple[int, int, int]
+) -> tuple[tuple[int, int, int], int] | None:
+    """Decide on integers alone whether ``build_pentagon`` closes the pair
+    with these circle triples: the one place pentagon closure is decided.
 
-    In lowest terms a rational is a square iff numerator and denominator are
-    both perfect squares; checked with integer square roots, never floats.
-    """
-    num_root = math.isqrt(value.numerator)
-    den_root = math.isqrt(value.denominator)
-    if num_root * num_root != value.numerator:
-        return None
-    if den_root * den_root != value.denominator:
-        return None
-    return Fraction(num_root, den_root)
-
-
-def normalized_cross(u: UnitVectorQ, v: UnitVectorQ) -> UnitVectorQ | None:
-    """cross(u, v) scaled to unit length, when that length is rational.
-
-    Returns None when the squared length is not a rational square.  Raises
-    ValueError for parallel inputs (zero cross product).  A returned vector
-    is exactly unit and exactly orthogonal to both inputs.
-    """
-    c = cross(u.v, v.v)
-    length_sq = norm_sq(c)
-    if length_sq == 0:
-        raise ValueError("cross product is zero: inputs are parallel")
-    root = _rational_sqrt(length_sq)
-    if root is None:
-        return None
-    return UnitVectorQ(c / root)
-
-
-def _closes(t1: tuple[int, int, int], t2: tuple[int, int, int]) -> bool:
-    """Whether ``build_pentagon`` closes the pair with these circle triples.
-
-    (a1 b2)^2 + (b1 a2)^2 + (b1 b2)^2 is the squared length of
-    cross(v2, v4) * h1 * h2, an integer; it is a perfect square exactly when
-    the normalized cross is rational, whatever the z-signs of v2 and v4.
+    For v2 = (b1, 0, z1)/h1 and v4 = (0, b2, z2)/h2 from the triples
+    (a, b, h), h1*h2*cross(v2, v4) is the integer vector
+    (-z1*b2, -b1*z2, b1*b2), i.e. (a1*b2, b1*a2, b1*b2) at the default
+    z = -a.  cross(v2, v4) normalized is rational exactly when that vector's
+    squared length is a perfect square; then the vector and its integer
+    length are returned, else None.  Flipping the z-sign of v2 (v4) negates
+    the first (second) component and leaves the decision unchanged.
     """
     a1, b1, _ = t1
     a2, b2, _ = t2
-    sq = (a1 * b2) ** 2 + (b1 * a2) ** 2 + (b1 * b2) ** 2
-    return math.isqrt(sq) ** 2 == sq
+    x, y, z = a1 * b2, b1 * a2, b1 * b2
+    length_sq = x * x + y * y + z * z
+    root = math.isqrt(length_sq)
+    if root * root != length_sq:
+        return None
+    return (x, y, z), root
 
 
 def build_pentagon(
@@ -136,18 +117,25 @@ def build_pentagon(
 
     v0 = e_x and v1 = e_y; v2 lies in the x-z plane from p1, v4 in the y-z
     plane from p2 (z-components negative unless flipped); v3 closes the cycle
-    as the normalized cross of v2 and v4.  Returns None when that cross has
-    no rational unit scaling; any returned list passes ``check_cycle_vectors``.
+    as cross(v2, v4) normalized, built as the integer cross product over its
+    integer length.  Returns None when that length is irrational; any
+    returned list passes ``check_cycle_vectors``.
     """
-    odd1, even1, hyp1 = circle_triple(p1)
-    odd2, even2, hyp2 = circle_triple(p2)
-    z1 = odd1 if flip_v2_z else -odd1
-    z2 = odd2 if flip_v4_z else -odd2
-    v2 = UnitVectorQ(Vec3Q(Fraction(even1, hyp1), Fraction(0), Fraction(z1, hyp1)))
-    v4 = UnitVectorQ(Vec3Q(Fraction(0), Fraction(even2, hyp2), Fraction(z2, hyp2)))
-    v3 = normalized_cross(v2, v4)
-    if v3 is None:
+    t1, t2 = circle_triple(p1), circle_triple(p2)
+    closing = _closing_cross(t1, t2)
+    if closing is None:
         return None
+    (x, y, z), root = closing
+    odd1, even1, hyp1 = t1
+    odd2, even2, hyp2 = t2
+    z1, z2 = -odd1, -odd2
+    if flip_v2_z:
+        z1, x = -z1, -x
+    if flip_v4_z:
+        z2, y = -z2, -y
+    v2 = UnitVectorQ(Vec3Q(Fraction(even1, hyp1), Fraction(0), Fraction(z1, hyp1)))
+    v3 = UnitVectorQ(Vec3Q(Fraction(x, root), Fraction(y, root), Fraction(z, root)))
+    v4 = UnitVectorQ(Vec3Q(Fraction(0), Fraction(even2, hyp2), Fraction(z2, hyp2)))
     return [UnitVectorQ(E_X), UnitVectorQ(E_Y), v2, v3, v4]
 
 
@@ -261,7 +249,7 @@ def optimal_state_numeric(vectors: Sequence[UnitVectorQ]) -> tuple[Float3, float
     close or equal.  G = q*I gives e_x.  Raises ArithmeticError unless the
     pair solves n*I - 4*G to residual 1e-12.
     """
-    check_cycle_vectors([u.v for u in vectors])
+    check_cycle_vectors(vectors)
     n = len(vectors)
     fv = [u.v.as_floats() for u in vectors]
     g = [[math.fsum(v[j] * v[k] for v in fv) for k in range(3)] for j in range(3)]
@@ -360,14 +348,11 @@ def search(max_mn: int, max_den: int, top_k: int) -> list[SearchHit]:
     hits: list[SearchHit] = []
     for p1, t1 in zip(params, triples):
         for p2, t2 in zip(params, triples):
-            if not _closes(t1, t2):
+            if _closing_cross(t1, t2) is None:
                 continue
             pentagon = build_pentagon(p1, p2)
-            if pentagon is None:
-                continue
             vec, _lam = optimal_state_numeric(pentagon)
-            state = rationalize_state(vec, max_den)
-            scenario = validate_cycle(state.v, [u.v for u in pentagon])
+            scenario = CycleScenario(rationalize_state(vec, max_den), tuple(pentagon))
             value = kcbs_value(scenario)
             if is_violation(value, scenario.n):
                 hits.append(

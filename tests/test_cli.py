@@ -305,6 +305,24 @@ def test_non_utf8_config_exits_2(capsys, tmp_path, command):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,  # nested beyond the recursion limit
+        '{"state": [' + "1" * 5000 + '], "vectors": []}',  # beyond the int digit limit
+    ],
+    ids=["deep-nesting", "oversized-number"],
+)
+def test_hostile_json_exits_2(capsys, tmp_path, command, text):
+    path = tmp_path / "hostile.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config JSON")
+
+
 def test_evaluate_long_cycle_certifies_bound(capsys, tmp_path):
     # e_x, e_y alternate and e_z closes the cycle: a valid 27-cycle
     n = 27

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from rational_kcbs import contextuality
 from rational_kcbs.contextuality import (
     REFERENCE_STATE,
     REFERENCE_VECTORS,
     CycleScenario,
     CycleValidationError,
-    DichotomicObservable,
     QutritState,
     UnitVectorQ,
     correlator,
@@ -59,12 +59,12 @@ def test_unit_vector_enforced():
 
 def test_observable_shape():
     a = make_observable(UnitVectorQ(E_X))
-    assert a.matrix == Mat3Q.diagonal(1, -1, -1)
+    assert a == Mat3Q.diagonal(1, -1, -1)
     b = make_observable(UnitVectorQ(Vec3Q("3/5", "4/5", 0)))
-    assert b.matrix.entry(0, 1) == Fraction(24, 25)
+    assert b.entry(0, 1) == Fraction(24, 25)
     # 2*(48/73)^2 - 1 == -721/5329
     v2 = make_observable(UnitVectorQ(Vec3Q(*REF_VECTORS_RAW[2])))
-    assert v2.matrix.entry(0, 0) == Fraction(-721, 5329)
+    assert v2.entry(0, 0) == Fraction(-721, 5329)
 
 
 def test_observable_invariants():
@@ -72,15 +72,10 @@ def test_observable_invariants():
     directions = [Vec3Q(*c) for c in REF_VECTORS_RAW]
     directions += [random_unit_vec(rng) for _ in range(40)]
     for v in directions:
-        m = make_observable(UnitVectorQ(v)).matrix
+        m = make_observable(UnitVectorQ(v))
         assert m.is_symmetric()
         assert m.trace() == -1
         assert mat_mul(m, m) == Mat3Q.identity()
-
-
-def test_observable_rejects_mismatched_matrix():
-    with pytest.raises(ValueError):
-        DichotomicObservable(matrix=Mat3Q.identity(), source_vector=UnitVectorQ(E_X))
 
 
 def test_projector_idempotent():
@@ -142,6 +137,34 @@ def test_broken_adjacency_named_by_pair():
 def test_validation_errors_are_value_errors():
     with pytest.raises(ValueError):
         validate_cycle(E_X, (E_X, E_Y))
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of contextuality's module-level helpers by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(contextuality, name)
+
+        def wrapper(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(contextuality, name, wrapper)
+    return calls
+
+
+def test_validation_checks_each_invariant_once(monkeypatch):
+    calls = count_calls(monkeypatch, "norm_sq", "dot")
+    validate_cycle(REFERENCE_STATE, REFERENCE_VECTORS)
+    # one norm per state and vector, one dot per adjacency
+    assert calls == {"norm_sq": 6, "dot": 5}
+
+
+def test_observables_build_each_matrix_once(monkeypatch):
+    s = reference_scenario()
+    calls = count_calls(monkeypatch, "outer")
+    assert len(s.observables) == 5
+    assert calls == {"outer": 5}
 
 
 def test_direct_scenario_construction_checks_geometry():
@@ -233,7 +256,7 @@ def test_two_routes_agree():
 
 def test_adjacent_observables_commute():
     s = reference_scenario()
-    mats = [make_observable(u).matrix for u in s.vectors]
+    mats = [make_observable(u) for u in s.vectors]
     for i in range(5):
         assert commutator(mats[i], mats[(i + 1) % 5]) == Mat3Q.zero()
 

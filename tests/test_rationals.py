@@ -133,3 +133,8 @@ class TestToDecimal:
     def test_matches_fraction_string_parse(self):
         # Rendered text must itself be a valid decimal literal.
         assert Fraction(to_decimal(Fraction(-158, 527), 6)) == Fraction(-299810, 10**6)
+
+    def test_beyond_the_int_to_str_digit_limit(self):
+        assert to_decimal(Fraction(1, 3), 5000) == "0." + "3" * 5000
+        assert to_decimal(Fraction(-2, 3), 5000) == "-0." + "6" * 4999 + "7"
+        assert to_decimal(Fraction(10**5000 + 1, 2), 1) == "5" + "0" * 4999 + ".5"

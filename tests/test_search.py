@@ -22,16 +22,15 @@ from rational_kcbs.contextuality import (
     validate_cycle,
 )
 from rational_kcbs.hv_models import is_violation
-from rational_kcbs.linalg3 import E_X, E_Y, E_Z, Mat3Q, Vec3Q, dot, norm_sq, outer
+from rational_kcbs.linalg3 import E_X, E_Y, E_Z, Mat3Q, Vec3Q, cross, dot, norm_sq, outer
 from rational_kcbs.search import (
     MAX_MN,
     CircleParams,
     SearchHit,
-    _closes,
+    _closing_cross,
     best_rational_approx,
     build_pentagon,
     circle_triple,
-    normalized_cross,
     optimal_state_numeric,
     primitive_params,
     rationalize_state,
@@ -103,31 +102,23 @@ class TestCircleTriple:
 
 
 class TestNormalizedCross:
-    def test_axes(self):
-        got = normalized_cross(UnitVectorQ(E_X), UnitVectorQ(E_Y))
-        assert got.v == E_Z
+    """v3 = cross(v2, v4) normalized, as ``build_pentagon`` closes the cycle."""
 
     def test_reference_pair(self):
-        v2 = UnitVectorQ(Vec3Q(*REF_VECTORS_RAW[2]))
-        v4 = UnitVectorQ(Vec3Q(*REF_VECTORS_RAW[4]))
-        got = normalized_cross(v2, v4)
+        pentagon = build_pentagon(CircleParams(8, 3), CircleParams(14, 5))
+        v2, got, v4 = (u.v for u in pentagon[2:])
         # integer certificate: 7700^2 + 8208^2 + 6720^2 == 13108^2
         assert 7700**2 + 8208**2 + 6720**2 == 13108**2
-        assert got.v == Vec3Q(*REF_VECTORS_RAW[3])
-        assert dot(got.v, v2.v) == 0 and dot(got.v, v4.v) == 0
-
-    def test_parallel_raises(self):
-        u = UnitVectorQ(Vec3Q("3/5", "4/5", 0))
-        with pytest.raises(ValueError):
-            normalized_cross(u, u)
-        with pytest.raises(ValueError):
-            normalized_cross(u, UnitVectorQ(-u.v))
+        assert got == Vec3Q(*REF_VECTORS_RAW[3]) == Vec3Q(7700, 8208, 6720) / 13108
+        assert dot(got, v2) == 0 and dot(got, v4) == 0
 
     def test_irrational_length_returns_none(self):
-        # cross squared length 1 - (u.v)^2 = 1 - (9/25)^2 = 544/625, not a square
-        u = UnitVectorQ(Vec3Q("4/5", 0, "-3/5"))
-        v = UnitVectorQ(Vec3Q(0, "4/5", "-3/5"))
-        assert normalized_cross(u, v) is None
+        # v2 and v4 of the pair ((2,1), (2,1)): the cross product's squared
+        # length 1 - (v2.v4)^2 = 1 - (9/25)^2 = 544/625 is not a square
+        u = Vec3Q("4/5", 0, "-3/5")
+        v = Vec3Q(0, "4/5", "-3/5")
+        assert norm_sq(cross(u, v)) == Fraction(544, 625)
+        assert build_pentagon(CircleParams(2, 1), CircleParams(2, 1)) is None
 
     def test_output_is_unit(self):
         for p1 in primitive_params(8):
@@ -135,6 +126,29 @@ class TestNormalizedCross:
                 pentagon = build_pentagon(p1, p2)
                 if pentagon is not None:
                     assert norm_sq(pentagon[3].v) == 1
+
+    def test_matches_fraction_cross_oracle(self):
+        # build_pentagon returns None exactly when cross(v2, v4) computed in
+        # Fractions has an irrational length, and v3 is otherwise that cross
+        # over its length
+        params = primitive_params(30)
+        triples = [circle_triple(p) for p in params]
+        closing = 0
+        for (p1, (a1, b1, h1)), (p2, (a2, b2, h2)) in itertools.product(zip(params, triples), repeat=2):
+            for s1, s2 in itertools.product((-1, 1), repeat=2):
+                v2 = Vec3Q(Fraction(b1, h1), 0, Fraction(s1 * a1, h1))
+                v4 = Vec3Q(0, Fraction(b2, h2), Fraction(s2 * a2, h2))
+                c = cross(v2, v4)
+                length_sq = norm_sq(c)
+                num, den = math.isqrt(length_sq.numerator), math.isqrt(length_sq.denominator)
+                rational = num * num == length_sq.numerator and den * den == length_sq.denominator
+                built = build_pentagon(p1, p2, flip_v2_z=s1 > 0, flip_v4_z=s2 > 0)
+                assert (built is not None) == rational, (p1, p2, s1, s2)
+                if rational:
+                    closing += 1
+                    assert built[3].v == c / Fraction(num, den)
+                    assert [u.v for u in built[2::2]] == [v2, v4]
+        assert closing == 96
 
 
 class TestBuildPentagon:
@@ -155,7 +169,7 @@ class TestBuildPentagon:
         )
         assert pentagon is not None
         assert pentagon[2].v.z == Fraction(55, 73)
-        check_cycle_vectors([u.v for u in pentagon])
+        check_cycle_vectors(pentagon)
 
     def test_results_always_pass_geometry_checks(self):
         for p1 in primitive_params(8):
@@ -165,7 +179,7 @@ class TestBuildPentagon:
                         p1, p2, flip_v2_z=flips[0], flip_v4_z=flips[1]
                     )
                     if pentagon is not None:
-                        check_cycle_vectors([u.v for u in pentagon])
+                        check_cycle_vectors(pentagon)
 
 
 # ------------------------------------------------------------- stereographics
@@ -565,7 +579,7 @@ class TestClosurePrefilter:
         closing = 0
         for p1 in params:
             for p2 in params:
-                closes = _closes(circle_triple(p1), circle_triple(p2))
+                closes = _closing_cross(circle_triple(p1), circle_triple(p2)) is not None
                 closing += closes
                 for flips in itertools.product((False, True), repeat=2):
                     built = build_pentagon(
@@ -586,6 +600,38 @@ class TestClosurePrefilter:
         monkeypatch.setattr(search_module, "build_pentagon", counting)
         search(max_mn=14, max_den=600, top_k=5)
         assert len(calls) == expected < len(primitive_params(14)) ** 2
+
+    def test_search_checks_each_closed_pentagon_once(self, monkeypatch):
+        contextuality = importlib.import_module("rational_kcbs.contextuality")
+        calls = {"norm_sq": 0, "check_cycle_vectors": 0, "validate_cycle": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name, getattr(contextuality, name))
+            for module in (contextuality, search_module):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        closed = []
+        build = search_module.build_pentagon
+
+        def recording(*args, **kwargs):
+            closed.append(build(*args, **kwargs))
+            return closed[-1]
+
+        monkeypatch.setattr(search_module, "build_pentagon", recording)
+        search(20, 10**6, 10)
+        # per closed pentagon: its five directions, the lifted state and its
+        # QutritState are each checked for unit norm once; the aim and the
+        # scenario each check the cycle's adjacency once
+        assert closed and None not in closed
+        assert calls["norm_sq"] <= 7 * len(closed)
+        assert calls["check_cycle_vectors"] <= 2 * len(closed)
+        assert calls["validate_cycle"] == 0
 
     def test_search_matches_brute_force(self):
         # The search pipeline run on every closable pair found by
