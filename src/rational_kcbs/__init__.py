@@ -5,14 +5,13 @@ using only qutrit states and projector directions with rational components;
 every reported value is an exact rational certificate.
 """
 
-from .rationals import Rational, format_rational, parse_rational, to_decimal
+from .rationals import format_rational, parse_rational, to_decimal
 from .linalg3 import (
     E_X,
     E_Y,
     E_Z,
     Mat3Q,
     Vec3Q,
-    commutator,
     cross,
     dot,
     mat_mul,
@@ -24,14 +23,12 @@ from .linalg3 import (
 from .contextuality import (
     CycleScenario,
     CycleValidationError,
-    QutritState,
     UnitVectorQ,
     correlator,
     cycle_operator,
     kcbs_value,
     kcbs_value_via_projections,
     make_observable,
-    projector,
     reference_scenario,
     validate_cycle,
 )

@@ -16,6 +16,7 @@ Config file schema (UTF-8 JSON)::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .contextuality import (
     validate_cycle,
 )
 from .hv_models import classical_min_cycle, is_violation
-from .linalg3 import Mat3Q, Vec3Q, commutator, mat_mul
+from .linalg3 import Mat3Q, Vec3Q, mat_mul
 from .rationals import format_rational, parse_rational, to_decimal
 from .search import search
 
@@ -99,8 +100,8 @@ def _run_checks(s: CycleScenario, value: Fraction, corrs: list[Fraction]) -> dic
     square_ok = all(mat_mul(a, a) == identity for a in observables)
     trace_ok = all(a.trace() == -1 for a in observables)
     commute_ok = all(
-        commutator(observables[i], observables[(i + 1) % s.n]) == Mat3Q.zero()
-        for i in range(s.n)
+        mat_mul(a, b) == mat_mul(b, a)
+        for a, b in zip(observables, observables[1:] + observables[:1])
     )
     return {
         "observables_square_to_identity": square_ok,
@@ -240,7 +241,9 @@ def _digits(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rational-kcbs",
         description=(
@@ -251,25 +254,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ref = sub.add_parser("reference", help="evaluate the built-in reference configuration")
-    ref.set_defaults(func=cmd_reference)
 
     verify = sub.add_parser("verify", help="validate a config file's exact invariants")
     verify.add_argument("config")
-    verify.set_defaults(func=cmd_verify)
 
     evaluate = sub.add_parser("evaluate", help="validate and evaluate a config file")
     evaluate.add_argument("config")
-    evaluate.set_defaults(func=cmd_evaluate)
 
     bound = sub.add_parser("bound", help="certify the classical cycle bound over all 2^n assignments")
     bound.add_argument("--n", type=int, required=True)
-    bound.set_defaults(func=cmd_bound)
 
     srch = sub.add_parser("search", help="search rational pentagons for exact violations")
     srch.add_argument("--max-mn", type=int, default=14)
     srch.add_argument("--max-den", type=int, default=600)
     srch.add_argument("--top", type=int, default=5)
-    srch.set_defaults(func=cmd_search)
 
     for cmd in (ref, evaluate, srch):
         cmd.add_argument("--digits", type=_digits, default=DEFAULT_DIGITS)
@@ -280,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so the parser kept for the process binds no function
+        return globals()[f"cmd_{args.command}"](args)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
         _note(f"error: {exc}")
         return 2

@@ -1,20 +1,21 @@
 """Cycle contextuality scenarios over exact rational qutrit geometry.
 
 A scenario is a unit state plus an odd cycle of unit directions whose
-adjacent pairs (indices mod n) are exactly orthogonal.  The unit types
-(``QutritState``, ``UnitVectorQ``) own the norm checks; ``CycleScenario``
-owns the rest.  Each direction v carries the dichotomic observable
-``2|v><v| - 1`` with outcomes +-1, held as that ``Mat3Q``; adjacent
-orthogonality makes adjacent observables commute, so each adjacent pair is
-jointly measurable and the cycle correlation sum is well defined.  The
-pentagon (n = 5) is the default; everything here works for any odd n >= 3
-because the bound logic is identical.
+adjacent pairs (indices mod n) are exactly orthogonal.  The unit type
+``UnitVectorQ`` (for the state and for every direction) owns the norm
+check; ``CycleScenario`` owns the rest.  Each direction v carries the
+dichotomic observable ``2|v><v| - 1`` with outcomes +-1, held as that
+``Mat3Q``; adjacent orthogonality makes adjacent observables commute, so
+each adjacent pair is jointly measurable and the cycle correlation sum is
+well defined.  The pentagon (n = 5) is the default; everything here works
+for any odd n >= 3 because the bound logic is identical.
 
 Two independent evaluation routes are provided on purpose: ``kcbs_value``
 sums ``(A_i psi) . (A_{i+1} psi)``, exact because every A_i is symmetric and
 free of any orthogonality assumption, while ``kcbs_value_via_projections``
-uses the orthogonal-pair identity ``<A_i A_{i+1}> = 1 - 2<P_i> - 2<P_{i+1}>``.
-Agreement of the two routes is an end-to-end check; the first is primary.
+uses the orthogonal-pair identity ``<A_i A_{i+1}> = 1 - 2<P_i> - 2<P_{i+1}>``
+with ``<P_i> = (v_i . psi)^2``, from dot products alone.  Agreement of the
+two routes is an end-to-end check; the first is primary.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .linalg3 import (
     mat_vec,
     norm_sq,
     outer,
-    quadratic_form,
 )
 from .rationals import format_rational
 
@@ -59,26 +59,15 @@ class CycleValidationError(ValueError):
 
 @dataclass(frozen=True)
 class UnitVectorQ:
-    """A rational direction with norm_sq exactly 1, enforced at construction."""
+    """A rational unit vector, a direction or a qutrit state: norm_sq exactly
+    1, enforced at construction."""
 
     v: Vec3Q
 
     def __post_init__(self):
         length_sq = norm_sq(self.v)
         if length_sq != ONE:
-            raise ValueError(f"not a unit vector: |v|^2 = {length_sq} for {self.v}")
-
-
-@dataclass(frozen=True)
-class QutritState:
-    """A rational qutrit state vector with norm_sq exactly 1."""
-
-    v: Vec3Q
-
-    def __post_init__(self):
-        length_sq = norm_sq(self.v)
-        if length_sq != ONE:
-            raise ValueError(f"not a unit state: |psi|^2 = {length_sq} for {self.v}")
+            raise ValueError(f"not a unit vector: |v|^2 = {format_rational(length_sq)}")
 
 
 def make_observable(v: UnitVectorQ) -> Mat3Q:
@@ -88,11 +77,6 @@ def make_observable(v: UnitVectorQ) -> Mat3Q:
     three follow exactly from |v|^2 = 1, which the type guarantees.
     """
     return 2 * outer(v.v, v.v) - Mat3Q.identity()
-
-
-def projector(v: UnitVectorQ) -> Mat3Q:
-    """Rank-1 projector |v><v|."""
-    return outer(v.v, v.v)
 
 
 def _check_length(n: int) -> None:
@@ -129,7 +113,7 @@ class CycleScenario:
     trivial fixtures).
     """
 
-    state: QutritState
+    state: UnitVectorQ
     vectors: tuple[UnitVectorQ, ...]
 
     def __post_init__(self):
@@ -154,7 +138,7 @@ def validate_cycle(state: Vec3Q, vectors: Sequence[Vec3Q]) -> CycleScenario:
     """
     _check_length(len(vectors))
     try:
-        psi = QutritState(state)
+        psi = UnitVectorQ(state)
     except ValueError:
         raise CycleValidationError(
             "state-not-unit", f"state is not unit: |psi|^2 = {format_rational(norm_sq(state))}"
@@ -189,13 +173,13 @@ def kcbs_value(s: CycleScenario) -> Fraction:
 
 
 def kcbs_value_via_projections(s: CycleScenario) -> Fraction:
-    """Independent evaluation route: n - 4 * sum_i <psi|P_i|psi>.
+    """Independent evaluation route: n - 4 * sum_i (v_i . psi)^2, where
+    (v_i . psi)^2 = <psi|P_i|psi> for the projector P_i = |v_i><v_i|.
 
     Valid because adjacent orthogonality kills the P_i P_{i+1} cross terms.
     Used as an oracle against ``kcbs_value``, never as the primary path.
     """
-    total = sum(quadratic_form(s.state.v, projector(u)) for u in s.vectors)
-    return s.n - 4 * total
+    return s.n - 4 * sum(dot(u.v, s.state.v) ** 2 for u in s.vectors)
 
 
 def cycle_operator(vectors: Sequence[UnitVectorQ]) -> Mat3Q:

@@ -2,8 +2,11 @@
 
 Dimension is fixed at 3 throughout the package, which keeps every invariant
 total and every operation a handful of exact Fraction multiplications.
-Floats are rejected at construction: once a binary-rounded value sneaks in,
-no downstream result is exact anymore.
+Components are ints or Fractions.  Floats are rejected at construction:
+once a binary-rounded value sneaks in, no downstream result is exact
+anymore.  Strings are rejected too: fraction text is parsed once, at the
+wire format (``rationals.parse_rational``), so this module depends on
+nothing else in the package.
 
 The cross product is right-handed: ``cross(E_X, E_Y) == E_Z``.
 """
@@ -13,19 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import parse_rational
-
-RationalLike = Fraction | int | str
+RationalLike = Fraction | int
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or fraction string to Fraction; reject floats."""
+    """Coerce an int or Fraction to Fraction; reject anything else."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
     raise TypeError(f"exact rational required, got {type(value).__name__}: {value!r}")
 
 
@@ -68,7 +67,6 @@ class Vec3Q:
         return Vec3Q(self.x / s, self.y / s, self.z / s)
 
 
-ZERO_VEC = Vec3Q(0, 0, 0)
 E_X = Vec3Q(1, 0, 0)
 E_Y = Vec3Q(0, 1, 0)
 E_Z = Vec3Q(0, 0, 1)
@@ -94,19 +92,8 @@ class Mat3Q:
     def zero(cls) -> "Mat3Q":
         return cls(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
 
-    @classmethod
-    def diagonal(cls, a: RationalLike, b: RationalLike, c: RationalLike) -> "Mat3Q":
-        return cls(((a, 0, 0), (0, b, 0), (0, 0, c)))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
     def trace(self) -> Fraction:
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
-
-    def transpose(self) -> "Mat3Q":
-        r = self.rows
-        return Mat3Q(tuple(tuple(r[j][i] for j in range(3)) for i in range(3)))
 
     def is_symmetric(self) -> bool:
         r = self.rows
@@ -176,7 +163,3 @@ def mat_vec(a: Mat3Q, v: Vec3Q) -> Vec3Q:
 def quadratic_form(psi: Vec3Q, m: Mat3Q) -> Fraction:
     """psi^T M psi, exact."""
     return dot(psi, mat_vec(m, psi))
-
-
-def commutator(a: Mat3Q, b: Mat3Q) -> Mat3Q:
-    return mat_mul(a, b) - mat_mul(b, a)

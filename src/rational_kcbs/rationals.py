@@ -18,8 +18,6 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
-Rational = Fraction
-
 # Wire format: optional sign, digits, optionally "/" digits.  No whitespace,
 # no decimal points, no exponent forms.
 _FRACTION_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")

@@ -18,13 +18,14 @@ The construction works entirely on rational points of the unit sphere:
   Adjacent projectors of a valid cycle are orthogonal, so the cycle
   operator is  sum_i A_i A_{i+1} = n*I - 4*G  with the 3x3 Gram matrix
   G = sum_i v_i v_i^T, and the aim is the top eigenvector of the float G,
-  in closed form (``optimal_state_numeric``).  The aim is then snapped back
-  onto the rational sphere: project stereographically, take best
-  bounded-denominator approximations of the two plane coordinates, and
-  lift.  The lift of rational plane points is exactly unit by
-  construction, which is why rationalization goes through the plane instead
-  of rounding components and renormalizing (a rounded 3-vector almost never
-  has a rational norm).
+  found by a fixed number of cyclic Jacobi sweeps (``optimal_state_numeric``):
+  one path for simple, close and repeated eigenvalues alike.  The aim is
+  then snapped back onto the rational sphere: project stereographically,
+  take best bounded-denominator approximations of the two plane
+  coordinates, and lift.  The lift of rational plane points is exactly
+  unit by construction, which is why rationalization goes through the
+  plane instead of rounding components and renormalizing (a rounded
+  3-vector almost never has a rational norm).
 * The snapped state and the pentagon, both already typed as unit, form the
   scenario directly, and it is evaluated exactly; only exact values are
   reported.
@@ -42,7 +43,6 @@ from typing import Sequence
 
 from .contextuality import (
     CycleScenario,
-    QutritState,
     UnitVectorQ,
     check_cycle_vectors,
     kcbs_value,
@@ -196,43 +196,6 @@ def _float_dot(u: Sequence[float], v: Sequence[float]) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _float_cross(u: Sequence[float], v: Sequence[float]) -> Float3:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _longest(*vs: Sequence[float]) -> Sequence[float]:
-    return max(vs, key=lambda v: _float_dot(v, v))
-
-
-def _unit(v: Sequence[float]) -> Float3:
-    length = math.sqrt(_float_dot(v, v))
-    return (v[0] / length, v[1] / length, v[2] / length)
-
-
-def _shifted(g: list[list[float]], s: float) -> list[list[float]]:
-    """g - s*I."""
-    return [[e - s if j == k else e for k, e in enumerate(row)] for j, row in enumerate(g)]
-
-
-def _eigenvector(g: list[list[float]], s: float) -> Float3:
-    """Unit eigenvector of g for its simple eigenvalue s: the longest cross
-    product of two rows of g - s*I, which it is orthogonal to."""
-    m = _shifted(g, s)
-    return _unit(_longest(_float_cross(m[0], m[1]), _float_cross(m[0], m[2]), _float_cross(m[1], m[2])))
-
-
-def _form(g: list[list[float]], u: Sequence[float], v: Sequence[float]) -> float:
-    """u^T g v."""
-    return _float_dot(u, [_float_dot(row, v) for row in g])
-
-
-_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-
 def optimal_state_numeric(vectors: Sequence[UnitVectorQ]) -> tuple[Float3, float]:
     """Numeric unit state minimizing the cycle sum, and that minimum: the
     eigenpair of the cycle operator for its smallest eigenvalue.
@@ -240,51 +203,50 @@ def optimal_state_numeric(vectors: Sequence[UnitVectorQ]) -> tuple[Float3, float
     The cycle is checked exactly first (``CycleValidationError``): exact
     adjacent orthogonality makes  sum_i A_i A_{i+1} = n*I - 4*G  with the
     Gram matrix G = sum_i v_i v_i^T, so the state is the top eigenvector u of
-    the float G and the minimum is n - 4*mu for its eigenvalue mu.  The
-    eigenvalues come from the trigonometric closed form for symmetric 3x3
-    matrices.  The eigenvector of the one farthest from the other two is the
-    longest cross product of two rows of G - lambda*I.  When that one is not
-    the largest, u solves the 2x2 problem in the plane orthogonal to the
-    smallest one's eigenvector, which stays accurate when the two largest are
-    close or equal.  G = q*I gives e_x.  Raises ArithmeticError unless the
+    the float G and the minimum is n - 4*mu for its eigenvalue mu.  A fixed
+    number of cyclic Jacobi sweeps diagonalizes G by plane rotations, which
+    needs no case analysis of repeated or close eigenvalues; u is the
+    accumulated rotation's column at the largest diagonal entry (the first
+    one on a tie, so G = q*I gives e_x).  Raises ArithmeticError unless the
     pair solves n*I - 4*G to residual 1e-12.
     """
     check_cycle_vectors(vectors)
     n = len(vectors)
     fv = [u.v.as_floats() for u in vectors]
     g = [[math.fsum(v[j] * v[k] for v in fv) for k in range(3)] for j in range(3)]
-    q = (g[0][0] + g[1][1] + g[2][2]) / 3
-    d = _shifted(g, q)
-    p = math.sqrt(sum(e * e for row in d for e in row) / 6)
-    if p == 0:
-        mu, vec = q, (1.0, 0.0, 0.0)
-    else:
-        # the eigenvalues are q + 2p cos(phi + 2k pi/3) with
-        # cos(3 phi) = det((G - q*I) / p) / 2: k = 0 the largest, k = 1 the
-        # smallest; half_det >= 0 puts the largest farthest from the others
-        half_det = _float_dot(d[0], _float_cross(d[1], d[2])) / (2 * p**3)
-        phi = math.acos(max(-1.0, min(1.0, half_det))) / 3
-        if half_det >= 0:
-            mu = q + 2 * p * math.cos(phi)
-            vec = _eigenvector(g, mu)
-        else:
-            w = _eigenvector(g, q + 2 * p * math.cos(phi + 2 * math.pi / 3))
-            e1 = _unit(_longest(*(_float_cross(w, axis) for axis in _AXES)))
-            e2 = _float_cross(w, e1)
-            a, b, c = _form(g, e1, e1), _form(g, e1, e2), _form(g, e2, e2)
-            theta = math.atan2(2 * b, a - c) / 2
-            vec = _unit([math.cos(theta) * x + math.sin(theta) * y for x, y in zip(e1, e2)])
-            mu = (a + c) / 2 + math.hypot((a - c) / 2, b)
-    lam = n - 4 * mu
+    a = [row[:] for row in g]
+    rot = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    # cyclic Jacobi converges quadratically: four sweeps bring every tested
+    # 3x3 (close and repeated eigenvalues included) to rounding level; six
+    # leave two spare
+    for _sweep in range(6):
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            if a[p][q] == 0.0:  # nothing to zero, and tau would divide by it
+                continue
+            # the rotation by theta in the (p, q) plane with
+            # cot(2 theta) = tau zeroes a[p][q]; t = tan(theta), |theta| <= pi/4
+            tau = (a[q][q] - a[p][p]) / (2 * a[p][q])
+            t = math.copysign(1 / (abs(tau) + math.hypot(1.0, tau)), tau)
+            c = 1 / math.hypot(1.0, t)
+            s = t * c
+            for m in (a, rot):  # columns: M <- M J
+                for row in m:
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+            row_p, row_q = a[p], a[q]  # rows: A <- J^T A
+            a[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
+            a[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
+    top = max(range(3), key=lambda k: a[k][k])
+    vec = (rot[0][top], rot[1][top], rot[2][top])
+    lam = n - 4 * a[top][top]
     operator = [[(n if j == k else 0) - 4 * e for k, e in enumerate(row)] for j, row in enumerate(g)]
-    r = [_float_dot(row, vec) - lam * c for row, c in zip(operator, vec)]
+    r = [_float_dot(row, vec) - lam * x for row, x in zip(operator, vec)]
     residual = math.sqrt(_float_dot(r, r))
     if residual > EIGEN_RESIDUAL_TOL:
         raise ArithmeticError(f"eigen-solve residual {residual} exceeds tolerance")
     return vec, lam
 
 
-def rationalize_state(v: Sequence[float], max_den: int) -> QutritState:
+def rationalize_state(v: Sequence[float], max_den: int) -> UnitVectorQ:
     """Snap a numerically-unit 3-vector of floats to an exactly-unit rational
     state.
 
@@ -306,7 +268,7 @@ def rationalize_state(v: Sequence[float], max_den: int) -> QutritState:
     denom = 1.0 + z
     p = best_rational_approx(x / denom, max_den)
     q = best_rational_approx(y / denom, max_den)
-    return QutritState(stereo_lift(p, q).v)
+    return stereo_lift(p, q)
 
 
 def primitive_params(max_mn: int) -> list[CircleParams]:

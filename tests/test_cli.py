@@ -1,13 +1,25 @@
+import argparse
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from rational_kcbs import cli, contextuality
 from rational_kcbs.cli import MAX_BOUND_N, MAX_DIGITS, main
-from rational_kcbs.contextuality import cycle_operator, kcbs_value, reference_scenario
+from rational_kcbs.contextuality import (
+    UnitVectorQ,
+    correlator,
+    cycle_operator,
+    kcbs_value,
+    kcbs_value_via_projections,
+    make_observable,
+    reference_scenario,
+)
+from rational_kcbs.linalg3 import Mat3Q, Vec3Q
 from rational_kcbs.rationals import format_rational, parse_rational
 from rational_kcbs.search import stereo_lift
 from tests.conftest import REF_KCBS_VALUE
@@ -125,6 +137,48 @@ def test_reference_values_round_trip_exactly(capsys):
     assert sum(corrs) == value
     # the report sums its own correlators; that must equal the public sum
     assert value == kcbs_value(reference_scenario())
+
+
+# ------------------------------------------------------------- report checks
+
+
+def _diagonal(a, b, c):
+    return Mat3Q(((a, 0, 0), (0, b, 0), (0, 0, c)))
+
+
+def _checks_breaking(key):
+    """Inputs to ``cli._run_checks`` that break exactly the check ``key``:
+    the reference scenario with a replaced field, or a wrong value or
+    correlator list."""
+    s = reference_scenario()
+    corrs = [correlator(s, i) for i in range(s.n)]
+    value = sum(corrs)
+    flip = _diagonal(1, -1, -1)  # squares to I, trace -1
+    if key == "observables_square_to_identity":
+        # diagonal, so every pair commutes; trace -1, but squares to diag(4, 1, 4)
+        s.__dict__["observables"] = (flip,) * 4 + (_diagonal(2, -1, -2),)
+    elif key == "observables_trace_minus_one":
+        s.__dict__["observables"] = (flip,) * 4 + (Mat3Q.identity(),)
+    elif key == "adjacent_observables_commute":
+        # a genuine observable that does not commute with its neighbour 2|e_x><e_x| - 1
+        tilted = make_observable(UnitVectorQ(Vec3Q(Fraction(3, 5), Fraction(4, 5), 0)))
+        s.__dict__["observables"] = (s.observables[0], tilted) + s.observables[2:]
+    elif key == "correlators_in_range":
+        corrs[0] = Fraction(2)
+    elif key == "value_in_range":
+        # a doubled state and the projection route's value for it: far
+        # below -n, yet the two agree
+        s.__dict__["state"] = SimpleNamespace(v=s.state.v * 2)
+        value = kcbs_value_via_projections(s)
+    elif key == "projection_identity_matches":
+        value += Fraction(1, 10**30)
+    return s, value, corrs
+
+
+@pytest.mark.parametrize("key", sorted(CHECK_KEYS - {"classical_bound_enumerated"}))
+def test_report_check_reads_false_when_broken(key):
+    checks = cli._run_checks(*_checks_breaking(key))
+    assert checks == {k: k != key for k in checks}
 
 
 # --------------------------------------------------------------- verify/evaluate
@@ -468,6 +522,30 @@ def test_missing_command_exits_via_argparse(capsys):
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "rational-kcbs":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    assert run_cli(capsys, "bound", "--n", "5")[0] == 0
+    assert run_cli(capsys, "reference")[0] == 0
+    assert len(built) == 1
+    # an argument error leaves the kept parser usable
+    with pytest.raises(SystemExit) as exc:
+        main(["reference", "--digits", "-1"])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "reference")
+    assert code == 0
+    assert json.loads(out)["decimal"] == "-3.941"
+    assert len(built) == 1
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "rational_kcbs", "reference"],
@@ -489,3 +567,22 @@ def test_value_strings_never_use_floats(capsys):
     for text in [report["value"], *report["per_correlator"]]:
         assert isinstance(parse_rational(text), Fraction)
     assert isinstance(report["decimal"], str)
+
+
+# -------------------------------------------------------------------- golden
+
+# Exit code, stdout and stderr of a fixed command list, recorded once from
+# the program and replayed here byte for byte.  "{config}" in an argv stands
+# for a file holding the named entry of "configs".
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["cases"], ids=lambda c: " ".join(c["argv"]).replace("{config}", c["config"] or "")
+)
+def test_cli_output_matches_golden(capsys, tmp_path, case):
+    argv = case["argv"]
+    if case["config"] is not None:
+        path = write_config(tmp_path, GOLDEN["configs"][case["config"]])
+        argv = [path if a == "{config}" else a for a in argv]
+    assert run_cli(capsys, *argv) == (case["exit"], case["stdout"], case["stderr"])

@@ -9,14 +9,12 @@ from rational_kcbs.contextuality import (
     REFERENCE_VECTORS,
     CycleScenario,
     CycleValidationError,
-    QutritState,
     UnitVectorQ,
     correlator,
     cycle_operator,
     kcbs_value,
     kcbs_value_via_projections,
     make_observable,
-    projector,
     reference_scenario,
     validate_cycle,
 )
@@ -26,8 +24,8 @@ from rational_kcbs.linalg3 import (
     E_Z,
     Mat3Q,
     Vec3Q,
-    commutator,
     mat_mul,
+    outer,
     quadratic_form,
 )
 from rational_kcbs.search import stereo_lift
@@ -50,21 +48,30 @@ def test_packaged_reference_matches_literals():
 
 
 def test_unit_vector_enforced():
-    UnitVectorQ(Vec3Q("3/5", "4/5", 0))
+    UnitVectorQ(Vec3Q(Fraction(3, 5), Fraction(4, 5), 0))
     with pytest.raises(ValueError):
         UnitVectorQ(Vec3Q(1, 1, 0))
     with pytest.raises(ValueError):
-        QutritState(Vec3Q("1/2", "1/2", "1/2"))
+        UnitVectorQ(Vec3Q(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_unit_vector_error_formats_huge_norm():
+    # |v|^2 has numerator and denominator above the interpreter's
+    # 4300-digit int-to-str limit; the error must still be the unit type's own
+    big = Fraction(10**4400 + 1, 10**4400)
+    with pytest.raises(ValueError, match="^not a unit vector: ") as err:
+        UnitVectorQ(Vec3Q(big, 0, 0))
+    assert str(err.value).endswith("/1" + "0" * 8800)
 
 
 def test_observable_shape():
     a = make_observable(UnitVectorQ(E_X))
-    assert a == Mat3Q.diagonal(1, -1, -1)
-    b = make_observable(UnitVectorQ(Vec3Q("3/5", "4/5", 0)))
-    assert b.entry(0, 1) == Fraction(24, 25)
+    assert a == Mat3Q(((1, 0, 0), (0, -1, 0), (0, 0, -1)))
+    b = make_observable(UnitVectorQ(Vec3Q(Fraction(3, 5), Fraction(4, 5), 0)))
+    assert b.rows[0][1] == Fraction(24, 25)
     # 2*(48/73)^2 - 1 == -721/5329
     v2 = make_observable(UnitVectorQ(Vec3Q(*REF_VECTORS_RAW[2])))
-    assert v2.entry(0, 0) == Fraction(-721, 5329)
+    assert v2.rows[0][0] == Fraction(-721, 5329)
 
 
 def test_observable_invariants():
@@ -79,7 +86,9 @@ def test_observable_invariants():
 
 
 def test_projector_idempotent():
-    p = projector(UnitVectorQ(Vec3Q(*REF_VECTORS_RAW[3])))
+    # |v><v| for a unit v: the projector behind the projection route
+    v = Vec3Q(*REF_VECTORS_RAW[3])
+    p = outer(v, v)
     assert mat_mul(p, p) == p
     assert p.trace() == 1
 
@@ -170,7 +179,7 @@ def test_observables_build_each_matrix_once(monkeypatch):
 def test_direct_scenario_construction_checks_geometry():
     with pytest.raises(CycleValidationError):
         CycleScenario(
-            state=QutritState(E_X),
+            state=UnitVectorQ(E_X),
             vectors=(UnitVectorQ(E_X), UnitVectorQ(E_Y), UnitVectorQ(E_X)),
         )
 
@@ -258,7 +267,7 @@ def test_adjacent_observables_commute():
     s = reference_scenario()
     mats = [make_observable(u) for u in s.vectors]
     for i in range(5):
-        assert commutator(mats[i], mats[(i + 1) % 5]) == Mat3Q.zero()
+        assert mat_mul(mats[i], mats[(i + 1) % 5]) == mat_mul(mats[(i + 1) % 5], mats[i])
 
 
 def test_cycle_operator_properties():

@@ -115,8 +115,8 @@ class TestNormalizedCross:
     def test_irrational_length_returns_none(self):
         # v2 and v4 of the pair ((2,1), (2,1)): the cross product's squared
         # length 1 - (v2.v4)^2 = 1 - (9/25)^2 = 544/625 is not a square
-        u = Vec3Q("4/5", 0, "-3/5")
-        v = Vec3Q(0, "4/5", "-3/5")
+        u = Vec3Q(Fraction(4, 5), 0, Fraction(-3, 5))
+        v = Vec3Q(0, Fraction(4, 5), Fraction(-3, 5))
         assert norm_sq(cross(u, v)) == Fraction(544, 625)
         assert build_pentagon(CircleParams(2, 1), CircleParams(2, 1)) is None
 
@@ -190,7 +190,7 @@ class TestStereo:
         assert stereo_lift(0, 0).v == Vec3Q(0, 0, 1)
         assert stereo_lift(1, 0).v == Vec3Q(1, 0, 0)
         assert stereo_lift(Fraction(1, 2), Fraction(1, 2)).v == Vec3Q(
-            "2/3", "2/3", "1/3"
+            Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)
         )
 
     def test_lift_is_exactly_unit(self):
@@ -466,7 +466,7 @@ class TestRationalizeState:
 
     def test_simple_plane_vector(self):
         got = rationalize_state([0.6, 0.8, 0.0], 10)
-        assert got.v == Vec3Q("3/5", "4/5", 0)
+        assert got.v == Vec3Q(Fraction(3, 5), Fraction(4, 5), 0)
 
     def test_output_always_exactly_unit(self):
         rng = random.Random(777)
@@ -625,11 +625,11 @@ class TestClosurePrefilter:
 
         monkeypatch.setattr(search_module, "build_pentagon", recording)
         search(20, 10**6, 10)
-        # per closed pentagon: its five directions, the lifted state and its
-        # QutritState are each checked for unit norm once; the aim and the
-        # scenario each check the cycle's adjacency once
+        # per closed pentagon: its five directions and the lifted state are
+        # each checked for unit norm once; the aim and the scenario each
+        # check the cycle's adjacency once
         assert closed and None not in closed
-        assert calls["norm_sq"] <= 7 * len(closed)
+        assert calls["norm_sq"] <= 6 * len(closed)
         assert calls["check_cycle_vectors"] <= 2 * len(closed)
         assert calls["validate_cycle"] == 0
 
