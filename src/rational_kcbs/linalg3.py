@@ -1,7 +1,11 @@
 """Exact 3-dimensional rational vector and matrix algebra.
 
 Dimension is fixed at 3 throughout the package, which keeps every invariant
-total and every operation a handful of exact Fraction multiplications.
+total and every operation a fixed handful of exact products.  A ``Vec3Q``
+holds three Fractions.  A ``Mat3Q`` holds nine ints over one positive
+denominator in lowest terms, so matrix products, sums and comparisons run on
+Python ints; a Fraction is built only where a value leaves the matrix
+(``rows``, ``trace()`` and the components of ``mat_vec``).
 Components are ints or Fractions.  Floats are rejected at construction:
 once a binary-rounded value sneaks in, no downstream result is exact
 anymore.  Strings are rejected too: fraction text is parsed once, at the
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Sequence
 
 RationalLike = Fraction | int
 
@@ -72,52 +78,79 @@ E_Y = Vec3Q(0, 1, 0)
 E_Z = Vec3Q(0, 0, 1)
 
 
-@dataclass(frozen=True)
+def _fill(m: "Mat3Q", num: tuple[int, ...], den: int) -> "Mat3Q":
+    """Set m to num / den (nine row-major ints, den > 0) in lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple(e // g for e in num)
+        den //= g
+    object.__setattr__(m, "_num", num)
+    object.__setattr__(m, "_den", den)
+    return m
+
+
+def _mat(num: tuple[int, ...], den: int) -> "Mat3Q":
+    return _fill(object.__new__(Mat3Q), num, den)
+
+
+def _ints(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """values as ints over their least common denominator."""
+    den = lcm(*(c.denominator for c in values))
+    return tuple(c.numerator * (den // c.denominator) for c in values), den
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Mat3Q:
-    """Immutable 3x3 matrix with exact rational entries, row-major."""
+    """Immutable 3x3 matrix with exact rational entries, row-major.
 
-    rows: tuple[tuple[Fraction, Fraction, Fraction], ...]
+    Held as nine ints over one positive denominator in lowest terms, so
+    equality and hashing compare ints whichever route reached the value;
+    ``rows`` is the Fraction view.
+    """
 
-    def __post_init__(self):
-        if len(self.rows) != 3 or any(len(row) != 3 for row in self.rows):
+    _num: tuple[int, ...]
+    _den: int
+
+    def __init__(self, rows: Sequence[Sequence[RationalLike]]):
+        if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("Mat3Q requires a 3x3 array of entries")
-        coerced = tuple(tuple(as_rational(e) for e in row) for row in self.rows)
-        object.__setattr__(self, "rows", coerced)
+        _fill(self, *_ints([as_rational(e) for row in rows for e in row]))
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        n, d = self._num, self._den
+        return tuple(tuple(Fraction(e, d) for e in n[i:i + 3]) for i in (0, 3, 6))
+
+    def __repr__(self) -> str:
+        return f"Mat3Q(rows={self.rows!r})"
 
     @classmethod
     def identity(cls) -> "Mat3Q":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        return _mat((1, 0, 0, 0, 1, 0, 0, 0, 1), 1)
 
     @classmethod
     def zero(cls) -> "Mat3Q":
-        return cls(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
+        return _mat((0,) * 9, 1)
 
     def trace(self) -> Fraction:
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
+        n = self._num
+        return Fraction(n[0] + n[4] + n[8], self._den)
 
     def is_symmetric(self) -> bool:
-        r = self.rows
-        return r[0][1] == r[1][0] and r[0][2] == r[2][0] and r[1][2] == r[2][1]
+        n = self._num
+        return n[1] == n[3] and n[2] == n[6] and n[5] == n[7]
 
     def __add__(self, other: "Mat3Q") -> "Mat3Q":
-        return Mat3Q(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        da, db = self._den, other._den
+        return _mat(tuple(x * db + y * da for x, y in zip(self._num, other._num)), da * db)
 
     def __sub__(self, other: "Mat3Q") -> "Mat3Q":
-        return Mat3Q(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        da, db = self._den, other._den
+        return _mat(tuple(x * db - y * da for x, y in zip(self._num, other._num)), da * db)
 
     def __mul__(self, scalar: RationalLike) -> "Mat3Q":
         s = as_rational(scalar)
-        return Mat3Q(tuple(tuple(e * s for e in row) for row in self.rows))
+        return _mat(tuple(e * s.numerator for e in self._num), self._den * s.denominator)
 
     __rmul__ = __mul__
 
@@ -141,23 +174,27 @@ def cross(u: Vec3Q, v: Vec3Q) -> Vec3Q:
 
 def outer(u: Vec3Q, v: Vec3Q) -> Mat3Q:
     """Rank-1 matrix u v^T."""
-    ut, vt = u.as_tuple(), v.as_tuple()
-    return Mat3Q(tuple(tuple(a * b for b in vt) for a in ut))
+    (un, ud), (vn, vd) = _ints(u.as_tuple()), _ints(v.as_tuple())
+    return _mat(tuple(a * b for a in un for b in vn), ud * vd)
 
 
 def mat_mul(a: Mat3Q, b: Mat3Q) -> Mat3Q:
-    ar, br = a.rows, b.rows
-    return Mat3Q(
-        tuple(
-            tuple(sum(ar[i][k] * br[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)
-        )
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a._num
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b._num
+    return _mat(
+        (
+            a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+            a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+        ),
+        a._den * b._den,
     )
 
 
 def mat_vec(a: Mat3Q, v: Vec3Q) -> Vec3Q:
-    vt = v.as_tuple()
-    return Vec3Q(*(sum(row[k] * vt[k] for k in range(3)) for row in a.rows))
+    (x, y, z), vd = _ints(v.as_tuple())
+    n, den = a._num, a._den * vd
+    return Vec3Q(*(Fraction(n[i] * x + n[i + 1] * y + n[i + 2] * z, den) for i in (0, 3, 6)))
 
 
 def quadratic_form(psi: Vec3Q, m: Mat3Q) -> Fraction:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rational_kcbs import cli, contextuality
+from rational_kcbs import cli, contextuality, linalg3
 from rational_kcbs.cli import MAX_BOUND_N, MAX_DIGITS, main
 from rational_kcbs.contextuality import (
     UnitVectorQ,
@@ -309,6 +309,25 @@ def test_evaluate_builds_each_observable_and_correlator_once(capsys, tmp_path, m
     calls["make_observable"] = 0
     cycle_operator(vectors)
     assert calls["make_observable"] == 5
+
+
+def test_evaluate_runs_every_exact_matrix_check(capsys, tmp_path, monkeypatch):
+    # 5 squares A_i A_i plus both orders of the 5 adjacent products
+    calls = []
+    fn = linalg3.mat_mul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return fn(a, b)
+
+    for module in (linalg3, contextuality, cli):
+        monkeypatch.setattr(module, "mat_mul", counting)
+    code, _, _ = run_cli(capsys, "evaluate", write_config(tmp_path, REF_CONFIG))
+    assert code == 0
+    assert len(calls) == 15
+    observables = reference_scenario().observables
+    assert sum(a == b for a, b in calls) == 5
+    assert {a for a, _ in calls} == set(observables)
 
 
 # ---------------------------------------------------------------- config errors

@@ -170,3 +170,99 @@ def test_reflection_observables_commute_on_orthogonal_pair():
     a1 = obs(Vec3Q(*REF_VECTORS_RAW[1]))
     assert mat_mul(a0, a1) == mat_mul(a1, a0)
     assert mat_mul(a0, a0) == Mat3Q.identity()
+
+
+# ------------------------------------------------ oracle for the matrix kernel
+# Mat3Q computes on nine ints over one denominator; these references compute
+# the same operations on plain rows of Fractions.
+
+
+def rand_entry(rng: random.Random) -> Fraction:
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9))
+    if kind == 2:
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 60))
+    return Fraction(rng.randint(-10**60, 10**60), rng.randint(1, 10**60))
+
+
+def rand_rows(rng: random.Random) -> tuple[tuple[Fraction, ...], ...]:
+    rows = [[rand_entry(rng) for _ in range(3)] for _ in range(3)]
+    if rng.random() < 0.25:
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            rows[j][i] = rows[i][j]
+    return tuple(tuple(row) for row in rows)
+
+
+def rand_vec60(rng: random.Random) -> Vec3Q:
+    return Vec3Q(rand_entry(rng), rand_entry(rng), rand_entry(rng))
+
+
+def ref_mul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3))
+
+
+def ref_map(f, *mats):
+    return tuple(tuple(f(*entries) for entries in zip(*rows)) for rows in zip(*mats))
+
+
+def test_kernel_matches_fraction_rows_oracle():
+    rng = random.Random(6060)
+    for _ in range(300):
+        ra, rb = rand_rows(rng), rand_rows(rng)
+        a, b = Mat3Q(ra), Mat3Q(rb)
+        s = rand_entry(rng)
+        u, v = rand_vec60(rng), rand_vec60(rng)
+        assert a.rows == ra
+        assert all(isinstance(e, Fraction) for row in a.rows for e in row)
+        assert mat_mul(a, b).rows == ref_mul(ra, rb)
+        assert (a + b).rows == ref_map(lambda x, y: x + y, ra, rb)
+        assert (a - b).rows == ref_map(lambda x, y: x - y, ra, rb)
+        assert (a * s).rows == (s * a).rows == ref_map(lambda x: x * s, ra)
+        trace = a.trace()
+        assert isinstance(trace, Fraction) and trace == ra[0][0] + ra[1][1] + ra[2][2]
+        assert a.is_symmetric() == (ra == tuple(zip(*ra)))
+        w = mat_vec(a, u)
+        assert all(isinstance(c, Fraction) for c in w.as_tuple())
+        assert w.as_tuple() == tuple(sum(x * y for x, y in zip(row, u.as_tuple())) for row in ra)
+        assert outer(u, v).rows == tuple(tuple(x * y for y in v.as_tuple()) for x in u.as_tuple())
+        assert (a == b) == (ra == rb) and a == Mat3Q(ra)
+
+
+def test_equal_values_compare_and_hash_alike_by_any_route():
+    rng = random.Random(4242)
+    ident = Mat3Q.identity()
+    for _ in range(100):
+        ra = rand_rows(rng)
+        a = Mat3Q(ra)
+        u, v = rand_vec60(rng), rand_vec60(rng)
+        routes = [
+            mat_mul(a, ident),
+            mat_mul(ident, a),
+            (a * 3) * Fraction(1, 3),
+            a + a - a,
+            Mat3Q.zero() + a,
+        ]
+        for m in routes:
+            assert m == a and hash(m) == hash(a)
+        assert len(set(routes)) == 1
+        assert a - a == Mat3Q.zero() and hash(a - a) == hash(Mat3Q.zero())
+        p = outer(u, v)
+        assert outer(u * 2, v / 2) == p and hash(outer(u * 2, v / 2)) == hash(p)
+    half = Mat3Q(((Fraction(2, 4), 0, 0), (0, 0, 0), (0, 0, 0)))
+    assert half == Mat3Q(((Fraction(1, 2), 0, 0), (0, 0, 0), (0, 0, 0)))
+    assert hash(half) == hash(Mat3Q(((Fraction(1, 2), 0, 0), (0, 0, 0), (0, 0, 0))))
+    assert Mat3Q(((Fraction(1), 0, 0), (0, 1, 0), (0, 0, 1))) == ident
+    # an observable squared reaches the identity over a denominator of 1
+    obs = outer(Vec3Q(*REF_VECTORS_RAW[3]), Vec3Q(*REF_VECTORS_RAW[3])) * 2 - ident
+    assert mat_mul(obs, obs) == ident and hash(mat_mul(obs, obs)) == hash(ident)
+    assert ident != ident.rows
+
+
+def test_matrix_shape_is_checked():
+    with pytest.raises(ValueError):
+        Mat3Q(((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError):
+        Mat3Q(((1, 0, 0), (0, 1), (0, 0, 1)))
