@@ -18,14 +18,12 @@ from .linalg3 import (
     mat_vec,
     norm_sq,
     outer,
-    quadratic_form,
 )
 from .contextuality import (
     CycleScenario,
     CycleValidationError,
     UnitVectorQ,
     correlator,
-    cycle_operator,
     kcbs_value,
     kcbs_value_via_projections,
     make_observable,

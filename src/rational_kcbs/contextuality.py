@@ -3,19 +3,23 @@
 A scenario is a unit state plus an odd cycle of unit directions whose
 adjacent pairs (indices mod n) are exactly orthogonal.  The unit type
 ``UnitVectorQ`` (for the state and for every direction) owns the norm
-check; ``CycleScenario`` owns the rest.  Each direction v carries the
-dichotomic observable ``2|v><v| - 1`` with outcomes +-1, held as that
-``Mat3Q``; adjacent orthogonality makes adjacent observables commute, so
-each adjacent pair is jointly measurable and the cycle correlation sum is
-well defined.  The pentagon (n = 5) is the default; everything here works
-for any odd n >= 3 because the bound logic is identical.
+check and the vector's integer form: three ints over one denominator,
+computed once at construction.  ``CycleScenario`` owns the rest.  Each
+direction v carries the dichotomic observable ``2|v><v| - 1`` with outcomes
++-1, held as that ``Mat3Q``; adjacent orthogonality makes adjacent
+observables commute, so each adjacent pair is jointly measurable and the
+cycle correlation sum is well defined.  The pentagon (n = 5) is the default;
+everything here works for any odd n >= 3 because the bound logic is
+identical.  Norm and adjacency checks are integer dot products.
 
 Two independent evaluation routes are provided on purpose: ``kcbs_value``
 sums ``(A_i psi) . (A_{i+1} psi)``, exact because every A_i is symmetric and
-free of any orthogonality assumption, while ``kcbs_value_via_projections``
-uses the orthogonal-pair identity ``<A_i A_{i+1}> = 1 - 2<P_i> - 2<P_{i+1}>``
-with ``<P_i> = (v_i . psi)^2``, from dot products alone.  Agreement of the
-two routes is an end-to-end check; the first is primary.
+free of any orthogonality assumption; a scenario computes each A_i psi once,
+as ints over one denominator, so each correlator is one integer dot product.
+``kcbs_value_via_projections`` uses the orthogonal-pair identity
+``<A_i A_{i+1}> = 1 - 2<P_i> - 2<P_{i+1}>`` with ``<P_i> = (v_i . psi)^2``,
+from dot products alone, on integers it derives itself from the components.
+Agreement of the two routes is an end-to-end check; the first is primary.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .linalg3 import (
@@ -30,15 +35,13 @@ from .linalg3 import (
     E_Y,
     Mat3Q,
     Vec3Q,
-    dot,
-    mat_mul,
-    mat_vec,
+    _int_dot,
+    _int_mat_vec,
+    _ints,
     norm_sq,
     outer,
 )
 from .rationals import format_rational
-
-ONE = Fraction(1)
 
 
 class CycleValidationError(ValueError):
@@ -60,14 +63,24 @@ class CycleValidationError(ValueError):
 @dataclass(frozen=True)
 class UnitVectorQ:
     """A rational unit vector, a direction or a qutrit state: norm_sq exactly
-    1, enforced at construction."""
+    1, enforced at construction.
+
+    Construction also keeps the components as three ints over their least
+    common denominator (``_num``, ``_den``), the form every exact check and
+    the primary evaluation route compute on.
+    """
 
     v: Vec3Q
 
     def __post_init__(self):
-        length_sq = norm_sq(self.v)
-        if length_sq != ONE:
-            raise ValueError(f"not a unit vector: |v|^2 = {format_rational(length_sq)}")
+        num, den = _ints(self.v.as_tuple())
+        length_sq = _int_dot(num, num)
+        if length_sq != den * den:
+            raise ValueError(
+                f"not a unit vector: |v|^2 = {format_rational(Fraction(length_sq, den * den))}"
+            )
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
 
 def make_observable(v: UnitVectorQ) -> Mat3Q:
@@ -94,11 +107,13 @@ def check_cycle_vectors(vectors: Sequence[UnitVectorQ]) -> None:
     _check_length(n)
     for i in range(n):
         j = (i + 1) % n
-        d = dot(vectors[i].v, vectors[j].v)
+        u, w = vectors[i], vectors[j]
+        d = _int_dot(u._num, w._num)
         if d != 0:
             raise CycleValidationError(
                 "adjacent-not-orthogonal",
-                f"adjacent pair ({i}, {j}) is not orthogonal: dot = {format_rational(d)}",
+                f"adjacent pair ({i}, {j}) is not orthogonal: "
+                f"dot = {format_rational(Fraction(d, u._den * w._den))}",
                 pair=(i, j),
             )
 
@@ -127,6 +142,12 @@ class CycleScenario:
     def observables(self) -> tuple[Mat3Q, ...]:
         """The direction observables: the one place a scenario builds them."""
         return tuple(make_observable(u) for u in self.vectors)
+
+    @cached_property
+    def _images(self) -> tuple[tuple[tuple[int, int, int], int], ...]:
+        """Each A_i psi once, as three ints over one denominator."""
+        psi = self.state
+        return tuple(_int_mat_vec(a, psi._num, psi._den) for a in self.observables)
 
 
 def validate_cycle(state: Vec3Q, vectors: Sequence[Vec3Q]) -> CycleScenario:
@@ -159,12 +180,12 @@ def validate_cycle(state: Vec3Q, vectors: Sequence[Vec3Q]) -> CycleScenario:
 def correlator(s: CycleScenario, i: int) -> Fraction:
     """Exact <A_i A_{i+1}> as (A_i psi) . (A_{i+1} psi), equal because A_i is
     symmetric; unlike the projection route it needs no orthogonality.
+    One integer dot product of the scenario's cached A_i psi, one Fraction.
     Always lies in [-1, 1].  Raises IndexError outside 0 <= i < n."""
     if not 0 <= i < s.n:
         raise IndexError(f"correlator index {i} out of range for n = {s.n}")
-    a = s.observables[i]
-    b = s.observables[(i + 1) % s.n]
-    return dot(mat_vec(a, s.state.v), mat_vec(b, s.state.v))
+    (u, du), (w, dw) = s._images[i], s._images[(i + 1) % s.n]
+    return Fraction(_int_dot(u, w), du * dw)
 
 
 def kcbs_value(s: CycleScenario) -> Fraction:
@@ -177,25 +198,17 @@ def kcbs_value_via_projections(s: CycleScenario) -> Fraction:
     (v_i . psi)^2 = <psi|P_i|psi> for the projector P_i = |v_i><v_i|.
 
     Valid because adjacent orthogonality kills the P_i P_{i+1} cross terms.
-    Used as an oracle against ``kcbs_value``, never as the primary path.
+    Used as an oracle against ``kcbs_value``, never as the primary path: it
+    takes its ints from the components, not from the scenario's cached forms.
+    With v_i . psi = t_i / (d_i d) and L = lcm(d_i), the sum of squares is
+    sum_i (t_i L / d_i)^2 / (L d)^2, one Fraction.
     """
-    return s.n - 4 * sum(dot(u.v, s.state.v) ** 2 for u in s.vectors)
-
-
-def cycle_operator(vectors: Sequence[UnitVectorQ]) -> Mat3Q:
-    """Exact operator  sum_i A_i A_{i+1}  for a cycle of directions.
-
-    For a geometry that passes ``check_cycle_vectors`` this matrix is exactly
-    symmetric (commuting symmetric factors), equals n*I - 4*sum_i v_i v_i^T
-    (the identity the search aims by; this is its exact oracle), and its
-    quadratic form at any state equals the cycle correlation sum there.
-    """
-    check_cycle_vectors(vectors)
-    matrices = [make_observable(u) for u in vectors]
-    total = Mat3Q.zero()
-    for a, b in zip(matrices, matrices[1:] + matrices[:1]):
-        total = total + mat_mul(a, b)
-    return total
+    psi, d = _ints(s.state.v.as_tuple())
+    terms = [_ints(u.v.as_tuple()) for u in s.vectors]
+    big = lcm(*(den for _, den in terms))
+    total = sum((_int_dot(num, psi) * (big // den)) ** 2 for num, den in terms)
+    scale = (big * d) ** 2
+    return Fraction(s.n * scale - 4 * total, scale)
 
 
 # Built-in reference configuration: a rational pentagon and a rational state

@@ -5,7 +5,9 @@ total and every operation a fixed handful of exact products.  A ``Vec3Q``
 holds three Fractions.  A ``Mat3Q`` holds nine ints over one positive
 denominator in lowest terms, so matrix products, sums and comparisons run on
 Python ints; a Fraction is built only where a value leaves the matrix
-(``rows``, ``trace()`` and the components of ``mat_vec``).
+(``rows``, ``trace()`` and the components of ``mat_vec``).  The private
+integer kernels ``_ints``, ``_int_dot`` and ``_int_mat_vec`` let callers keep
+a vector as three ints over one denominator and build one Fraction at the end.
 Components are ints or Fractions.  Floats are rejected at construction:
 once a binary-rounded value sneaks in, no downstream result is exact
 anymore.  Strings are rejected too: fraction text is parsed once, at the
@@ -191,12 +193,21 @@ def mat_mul(a: Mat3Q, b: Mat3Q) -> Mat3Q:
     )
 
 
+def _int_dot(u: Sequence[int], w: Sequence[int]) -> int:
+    """Inner product of two int triples."""
+    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+
+
+def _int_mat_vec(a: Mat3Q, num: Sequence[int], den: int) -> tuple[tuple[int, int, int], int]:
+    """a (num / den) as three ints over one positive denominator, not reduced."""
+    x, y, z = num
+    n = a._num
+    return (
+        (n[0] * x + n[1] * y + n[2] * z, n[3] * x + n[4] * y + n[5] * z, n[6] * x + n[7] * y + n[8] * z),
+        a._den * den,
+    )
+
+
 def mat_vec(a: Mat3Q, v: Vec3Q) -> Vec3Q:
-    (x, y, z), vd = _ints(v.as_tuple())
-    n, den = a._num, a._den * vd
-    return Vec3Q(*(Fraction(n[i] * x + n[i + 1] * y + n[i + 2] * z, den) for i in (0, 3, 6)))
-
-
-def quadratic_form(psi: Vec3Q, m: Mat3Q) -> Fraction:
-    """psi^T M psi, exact."""
-    return dot(psi, mat_vec(m, psi))
+    num, den = _int_mat_vec(a, *_ints(v.as_tuple()))
+    return Vec3Q(*(Fraction(c, den) for c in num))

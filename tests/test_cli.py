@@ -13,7 +13,6 @@ from rational_kcbs.cli import MAX_BOUND_N, MAX_DIGITS, main
 from rational_kcbs.contextuality import (
     UnitVectorQ,
     correlator,
-    cycle_operator,
     kcbs_value,
     kcbs_value_via_projections,
     make_observable,
@@ -305,10 +304,24 @@ def test_evaluate_builds_each_observable_and_correlator_once(capsys, tmp_path, m
     assert code == 0
     assert calls == {"make_observable": 5, "correlator": 5}
 
-    vectors = reference_scenario().vectors
-    calls["make_observable"] = 0
-    cycle_operator(vectors)
-    assert calls["make_observable"] == 5
+
+def test_evaluate_computes_each_state_image_once(capsys, tmp_path, monkeypatch):
+    # one A_i psi per direction: 5 for the reference pentagon, where pairing
+    # each correlator's own two products would make 10
+    products = []
+
+    def counted(fn):
+        def wrapper(a, *args):
+            products.append(a)
+            return fn(a, *args)
+        return wrapper
+
+    for module, name in ((contextuality, "mat_vec"), (cli, "mat_vec"), (contextuality, "_int_mat_vec")):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    code, _, _ = run_cli(capsys, "evaluate", write_config(tmp_path, REF_CONFIG))
+    assert code == 0
+    assert products == list(reference_scenario().observables)
 
 
 def test_evaluate_runs_every_exact_matrix_check(capsys, tmp_path, monkeypatch):
@@ -320,7 +333,8 @@ def test_evaluate_runs_every_exact_matrix_check(capsys, tmp_path, monkeypatch):
         calls.append((a, b))
         return fn(a, b)
 
-    for module in (linalg3, contextuality, cli):
+    # every module of the program that binds mat_mul
+    for module in (linalg3, cli):
         monkeypatch.setattr(module, "mat_mul", counting)
     code, _, _ = run_cli(capsys, "evaluate", write_config(tmp_path, REF_CONFIG))
     assert code == 0

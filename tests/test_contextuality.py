@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from rational_kcbs.contextuality import (
     CycleValidationError,
     UnitVectorQ,
     correlator,
-    cycle_operator,
     kcbs_value,
     kcbs_value_via_projections,
     make_observable,
@@ -24,12 +24,14 @@ from rational_kcbs.linalg3 import (
     E_Z,
     Mat3Q,
     Vec3Q,
+    dot,
     mat_mul,
+    mat_vec,
     outer,
-    quadratic_form,
 )
 from rational_kcbs.search import stereo_lift
 from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, rand_fraction
+from tests.oracles import cycle_operator, quadratic_form
 
 DEGENERATE_VECTORS = (E_X, E_Y, E_X, E_Y, E_Z)
 
@@ -62,6 +64,19 @@ def test_unit_vector_error_formats_huge_norm():
     with pytest.raises(ValueError, match="^not a unit vector: ") as err:
         UnitVectorQ(Vec3Q(big, 0, 0))
     assert str(err.value).endswith("/1" + "0" * 8800)
+
+
+def test_unit_vector_value_semantics():
+    # the integer form kept at construction shows in no field, comparison,
+    # hash or repr
+    u = UnitVectorQ(Vec3Q(Fraction(3, 5), Fraction(4, 5), 0))
+    same = UnitVectorQ(Vec3Q(Fraction(6, 10), Fraction(8, 10), Fraction(0, 7)))
+    assert [f.name for f in dataclasses.fields(u)] == ["v"]
+    assert u == same and hash(u) == hash(same) == hash((u.v,))
+    assert u != UnitVectorQ(Vec3Q(Fraction(4, 5), Fraction(3, 5), 0))
+    assert repr(u) == "UnitVectorQ(v=Vec3Q(x=Fraction(3, 5), y=Fraction(4, 5), z=Fraction(0, 1)))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u.v = E_X
 
 
 def test_observable_shape():
@@ -138,8 +153,7 @@ def test_broken_adjacency_named_by_pair():
         validate_cycle(REFERENCE_STATE, bad)
     assert err.value.reason == "adjacent-not-orthogonal"
     assert err.value.pair == (2, 3)
-    from rational_kcbs.linalg3 import dot
-
+    assert str(err.value).endswith("dot = 184800/239221")
     assert dot(bad[2], bad[3]) == Fraction(184800, 239221)
 
 
@@ -163,10 +177,24 @@ def count_calls(monkeypatch, *names):
 
 
 def test_validation_checks_each_invariant_once(monkeypatch):
-    calls = count_calls(monkeypatch, "norm_sq", "dot")
-    validate_cycle(REFERENCE_STATE, REFERENCE_VECTORS)
-    # one norm per state and vector, one dot per adjacency
-    assert calls == {"norm_sq": 6, "dot": 5}
+    # every check is one integer dot product: a norm dots a vector's ints
+    # with themselves, an adjacency dots two neighbours' ints
+    dots = []
+    fn = contextuality._int_dot
+
+    def recording(u, w):
+        dots.append((u, w))
+        return fn(u, w)
+
+    monkeypatch.setattr(contextuality, "_int_dot", recording)
+    calls = count_calls(monkeypatch, "norm_sq")
+    s = validate_cycle(REFERENCE_STATE, REFERENCE_VECTORS)
+    units = (s.state,) + s.vectors
+    norms = [u for u, w in dots if u is w]
+    adjacencies = [(u, w) for u, w in dots if u is not w]
+    assert norms == [x._num for x in units]
+    assert adjacencies == [(s.vectors[i]._num, s.vectors[(i + 1) % 5]._num) for i in range(5)]
+    assert calls == {"norm_sq": 0}  # the Fraction norm only words an error
 
 
 def test_observables_build_each_matrix_once(monkeypatch):
@@ -219,6 +247,54 @@ def test_correlators_bounded():
     for s in scenarios:
         for i in range(s.n):
             assert -1 <= correlator(s, i) <= 1
+
+
+def rational_rotation(rng: random.Random, digits: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact rotation from an integer quaternion: entries over a
+    denominator of about 2 * digits digits."""
+    a, b, c, d = (rng.randint(-10**digits, 10**digits) for _ in range(4))
+    q = a * a + b * b + c * c + d * d
+    rows = (
+        (a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)),
+        (2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)),
+        (2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d),
+    )
+    return tuple(tuple(Fraction(e, q) for e in row) for row in rows)
+
+
+def rotated(rows, v: Vec3Q) -> Vec3Q:
+    return Vec3Q(*(sum(r * c for r, c in zip(row, v.as_tuple())) for row in rows))
+
+
+def observable_rows(v: Vec3Q) -> tuple[tuple[Fraction, ...], ...]:
+    c = v.as_tuple()
+    return tuple(tuple(2 * c[i] * c[j] - (i == j) for j in range(3)) for i in range(3))
+
+
+def test_correlators_match_fraction_rows_oracle():
+    # seeded cycles rotated to components of about 60 digits, states lifted
+    # from 15-digit plane points; every correlator against plain Fraction
+    # rows and against the public route dot(mat_vec(A_i, psi), mat_vec(A_j, psi))
+    rng = random.Random(6060)
+    shapes = [REFERENCE_VECTORS, DEGENERATE_VECTORS, (E_X, E_Y, E_Z), (E_X, E_Y) * 3 + (E_Z,)]
+    for _ in range(12):
+        for shape in shapes:
+            rows = rational_rotation(rng, 30)
+            state = stereo_lift(rand_fraction(rng, 10**15, 10**15), rand_fraction(rng, 10**15, 10**15)).v
+            s = validate_cycle(state, [rotated(rows, v) for v in shape])
+            assert max(c.denominator for u in s.vectors for c in u.v.as_tuple()) > 10**55
+            psi = state.as_tuple()
+            images = [
+                tuple(sum(x * y for x, y in zip(row, psi)) for row in observable_rows(u.v))
+                for u in s.vectors
+            ]
+            for i in range(s.n):
+                j = (i + 1) % s.n
+                expected = sum(x * y for x, y in zip(images[i], images[j]))
+                assert correlator(s, i) == expected
+                a, b = s.observables[i], s.observables[j]
+                assert correlator(s, i) == dot(mat_vec(a, state), mat_vec(b, state))
+            assert kcbs_value(s) == kcbs_value_via_projections(s)
 
 
 # --------------------------------------------------------------- cycle values

@@ -9,15 +9,18 @@ from rational_kcbs.linalg3 import (
     E_Z,
     Mat3Q,
     Vec3Q,
+    _int_dot,
+    _int_mat_vec,
+    _ints,
     cross,
     dot,
     mat_mul,
     mat_vec,
     norm_sq,
     outer,
-    quadratic_form,
 )
 from tests.conftest import REF_STATE_RAW, REF_VECTORS_RAW, rand_vec
+from tests.oracles import quadratic_form
 
 
 ZERO = Vec3Q(0, 0, 0)
@@ -229,6 +232,25 @@ def test_kernel_matches_fraction_rows_oracle():
         assert w.as_tuple() == tuple(sum(x * y for x, y in zip(row, u.as_tuple())) for row in ra)
         assert outer(u, v).rows == tuple(tuple(x * y for y in v.as_tuple()) for x in u.as_tuple())
         assert (a == b) == (ra == rb) and a == Mat3Q(ra)
+
+
+def test_integer_vector_kernels_match_fraction_rows_oracle():
+    # the ints-over-one-denominator kernels the evaluation routes share
+    rng = random.Random(6161)
+    for _ in range(300):
+        ra = rand_rows(rng)
+        a = Mat3Q(ra)
+        u, v = rand_vec60(rng), rand_vec60(rng)
+        (un, ud), (vn, vd) = _ints(u.as_tuple()), _ints(v.as_tuple())
+        assert ud > 0 and all(isinstance(c, int) for c in un)
+        assert tuple(Fraction(c, ud) for c in un) == u.as_tuple()
+        assert all(ud % c.denominator == 0 for c in u.as_tuple())
+        assert Fraction(_int_dot(un, vn), ud * vd) == sum(x * y for x, y in zip(u.as_tuple(), v.as_tuple()))
+        wn, wd = _int_mat_vec(a, un, ud)
+        assert wd > 0 and all(isinstance(c, int) for c in wn)
+        assert tuple(Fraction(c, wd) for c in wn) == tuple(
+            sum(x * y for x, y in zip(row, u.as_tuple())) for row in ra
+        )
 
 
 def test_equal_values_compare_and_hash_alike_by_any_route():
