@@ -17,7 +17,6 @@ from .linalg3 import (
     mat_mul,
     mat_vec,
     norm_sq,
-    outer,
 )
 from .contextuality import (
     CycleScenario,

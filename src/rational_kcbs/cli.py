@@ -145,13 +145,21 @@ def _summarize(report: dict, n: int) -> str:
     )
 
 
-def _invalid_payload(exc: CycleValidationError) -> dict:
-    payload: dict[str, Any] = {"valid": False, "invariant": exc.reason, "message": str(exc)}
-    if exc.index is not None:
-        payload["index"] = exc.index
-    if exc.pair is not None:
-        payload["pair"] = list(exc.pair)
-    return payload
+def _load_scenario(path: str) -> CycleScenario | None:
+    """The validated scenario of a config file, or None once the invariant
+    it breaks is reported (JSON on stdout, one line on stderr)."""
+    state, vectors = load_config(path)
+    try:
+        return validate_cycle(state, vectors)
+    except CycleValidationError as exc:
+        payload: dict[str, Any] = {"valid": False, "invariant": exc.reason, "message": str(exc)}
+        if exc.index is not None:
+            payload["index"] = exc.index
+        if exc.pair is not None:
+            payload["pair"] = list(exc.pair)
+        _emit(payload)
+        _note(f"INVALID: {exc}")
+        return None
 
 
 def cmd_reference(args: argparse.Namespace) -> int:
@@ -163,12 +171,8 @@ def cmd_reference(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    state, vectors = load_config(args.config)
-    try:
-        scenario = validate_cycle(state, vectors)
-    except CycleValidationError as exc:
-        _emit(_invalid_payload(exc))
-        _note(f"INVALID: {exc}")
+    scenario = _load_scenario(args.config)
+    if scenario is None:
         return 1
     _emit({"valid": True, "n": scenario.n})
     _note(f"valid {scenario.n}-cycle")
@@ -176,12 +180,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    state, vectors = load_config(args.config)
-    try:
-        scenario = validate_cycle(state, vectors)
-    except CycleValidationError as exc:
-        _emit(_invalid_payload(exc))
-        _note(f"INVALID: {exc}")
+    scenario = _load_scenario(args.config)
+    if scenario is None:
         return 1
     report = build_report(scenario, args.digits)
     _emit(report)

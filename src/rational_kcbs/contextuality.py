@@ -6,7 +6,8 @@ adjacent pairs (indices mod n) are exactly orthogonal.  The unit type
 check and the vector's integer form: three ints over one denominator,
 computed once at construction.  ``CycleScenario`` owns the rest.  Each
 direction v carries the dichotomic observable ``2|v><v| - 1`` with outcomes
-+-1, held as that ``Mat3Q``; adjacent orthogonality makes adjacent
++-1, held as that ``Mat3Q`` and built straight from the direction's ints
+(``make_observable``); adjacent orthogonality makes adjacent
 observables commute, so each adjacent pair is jointly measurable and the
 cycle correlation sum is well defined.  The pentagon (n = 5) is the default;
 everything here works for any odd n >= 3 because the bound logic is
@@ -38,8 +39,8 @@ from .linalg3 import (
     _int_dot,
     _int_mat_vec,
     _ints,
+    _mat,
     norm_sq,
-    outer,
 )
 from .rationals import format_rational
 
@@ -86,10 +87,15 @@ class UnitVectorQ:
 def make_observable(v: UnitVectorQ) -> Mat3Q:
     """The +-1-valued observable ``2|v><v| - 1`` for direction v.
 
-    The result is symmetric, has trace -1, and squares to the identity; all
-    three follow exactly from |v|^2 = 1, which the type guarantees.
+    Built in one step from the unit's ints: with v = n / d, entry (j, k) is
+    ``2 n_j n_k - [j == k] d^2`` over ``d^2``.  The result is symmetric, has
+    trace -1, and squares to the identity; all three follow exactly from
+    |v|^2 = 1, which the type guarantees.
     """
-    return 2 * outer(v.v, v.v) - Mat3Q.identity()
+    x, y, z = v._num
+    d2 = v._den * v._den
+    xy, xz, yz = 2 * x * y, 2 * x * z, 2 * y * z
+    return _mat((2 * x * x - d2, xy, xz, xy, 2 * y * y - d2, yz, xz, yz, 2 * z * z - d2), d2)
 
 
 def _check_length(n: int) -> None:

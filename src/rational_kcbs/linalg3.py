@@ -2,12 +2,14 @@
 
 Dimension is fixed at 3 throughout the package, which keeps every invariant
 total and every operation a fixed handful of exact products.  A ``Vec3Q``
-holds three Fractions.  A ``Mat3Q`` holds nine ints over one positive
-denominator in lowest terms, so matrix products, sums and comparisons run on
-Python ints; a Fraction is built only where a value leaves the matrix
+holds three Fractions and has no arithmetic of its own: ``dot``, ``norm_sq``
+and ``cross`` are what certificates need.  A ``Mat3Q`` holds nine ints over
+one positive denominator in lowest terms, so matrix products and comparisons
+run on Python ints; a Fraction is built only where a value leaves the matrix
 (``rows``, ``trace()`` and the components of ``mat_vec``).  The private
 integer kernels ``_ints``, ``_int_dot`` and ``_int_mat_vec`` let callers keep
-a vector as three ints over one denominator and build one Fraction at the end.
+a vector as three ints over one denominator and build one Fraction at the
+end; ``_mat`` builds a matrix straight from nine such ints.
 Components are ints or Fractions.  Floats are rejected at construction:
 once a binary-rounded value sneaks in, no downstream result is exact
 anymore.  Strings are rejected too: fraction text is parsed once, at the
@@ -54,25 +56,6 @@ class Vec3Q:
 
     def as_floats(self) -> tuple[float, float, float]:
         return (float(self.x), float(self.y), float(self.z))
-
-    def __add__(self, other: "Vec3Q") -> "Vec3Q":
-        return Vec3Q(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec3Q") -> "Vec3Q":
-        return Vec3Q(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Vec3Q":
-        return Vec3Q(-self.x, -self.y, -self.z)
-
-    def __mul__(self, scalar: RationalLike) -> "Vec3Q":
-        s = as_rational(scalar)
-        return Vec3Q(self.x * s, self.y * s, self.z * s)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: RationalLike) -> "Vec3Q":
-        s = as_rational(scalar)
-        return Vec3Q(self.x / s, self.y / s, self.z / s)
 
 
 E_X = Vec3Q(1, 0, 0)
@@ -130,10 +113,6 @@ class Mat3Q:
     def identity(cls) -> "Mat3Q":
         return _mat((1, 0, 0, 0, 1, 0, 0, 0, 1), 1)
 
-    @classmethod
-    def zero(cls) -> "Mat3Q":
-        return _mat((0,) * 9, 1)
-
     def trace(self) -> Fraction:
         n = self._num
         return Fraction(n[0] + n[4] + n[8], self._den)
@@ -141,20 +120,6 @@ class Mat3Q:
     def is_symmetric(self) -> bool:
         n = self._num
         return n[1] == n[3] and n[2] == n[6] and n[5] == n[7]
-
-    def __add__(self, other: "Mat3Q") -> "Mat3Q":
-        da, db = self._den, other._den
-        return _mat(tuple(x * db + y * da for x, y in zip(self._num, other._num)), da * db)
-
-    def __sub__(self, other: "Mat3Q") -> "Mat3Q":
-        da, db = self._den, other._den
-        return _mat(tuple(x * db - y * da for x, y in zip(self._num, other._num)), da * db)
-
-    def __mul__(self, scalar: RationalLike) -> "Mat3Q":
-        s = as_rational(scalar)
-        return _mat(tuple(e * s.numerator for e in self._num), self._den * s.denominator)
-
-    __rmul__ = __mul__
 
 
 def dot(u: Vec3Q, v: Vec3Q) -> Fraction:
@@ -172,12 +137,6 @@ def cross(u: Vec3Q, v: Vec3Q) -> Vec3Q:
         u.z * v.x - u.x * v.z,
         u.x * v.y - u.y * v.x,
     )
-
-
-def outer(u: Vec3Q, v: Vec3Q) -> Mat3Q:
-    """Rank-1 matrix u v^T."""
-    (un, ud), (vn, vd) = _ints(u.as_tuple()), _ints(v.as_tuple())
-    return _mat(tuple(a * b for a in un for b in vn), ud * vd)
 
 
 def mat_mul(a: Mat3Q, b: Mat3Q) -> Mat3Q:

@@ -1,32 +1,67 @@
-"""Exact test oracles built from the public operations: the cycle operator
-and its quadratic form.  The program does not use them; tests check its
-routes against them."""
+"""Exact test oracles on plain rows of Fractions: matrix products, the
+observables 2 v v^T - I, the Gram matrix, the cycle operator and its
+quadratic form.  They share nothing with the program's integer matrix
+kernel; tests check its routes against them."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from rational_kcbs.contextuality import UnitVectorQ, check_cycle_vectors, make_observable
-from rational_kcbs.linalg3 import Mat3Q, Vec3Q, dot, mat_mul, mat_vec
+from rational_kcbs.contextuality import UnitVectorQ, check_cycle_vectors
+from rational_kcbs.linalg3 import Vec3Q
+
+Rows = tuple[tuple[Fraction, ...], ...]
+
+IDENTITY_ROWS: Rows = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
 
 
-def quadratic_form(psi: Vec3Q, m: Mat3Q) -> Fraction:
+def ref_mul(a: Rows, b: Rows) -> Rows:
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3))
+
+
+def ref_map(f: Callable[..., Fraction], *mats: Rows) -> Rows:
+    """Entrywise f over equally shaped rows."""
+    return tuple(tuple(f(*entries) for entries in zip(*rows)) for rows in zip(*mats))
+
+
+def ref_sum(mats: Sequence[Rows]) -> Rows:
+    return ref_map(lambda *entries: sum(entries), *mats)
+
+
+def ref_vec(a: Rows, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def outer_rows(u: Vec3Q, v: Vec3Q) -> Rows:
+    """u v^T."""
+    return tuple(tuple(x * y for y in v.as_tuple()) for x in u.as_tuple())
+
+
+def observable_rows(v: Vec3Q) -> Rows:
+    """2 v v^T - I."""
+    return ref_map(lambda p, i: 2 * p - i, outer_rows(v, v), IDENTITY_ROWS)
+
+
+def gram(vectors: Sequence[UnitVectorQ]) -> Rows:
+    """G = sum_i v_i v_i^T."""
+    return ref_sum([outer_rows(u.v, u.v) for u in vectors])
+
+
+def quadratic_form(psi: Vec3Q, m: Rows) -> Fraction:
     """psi^T M psi, exact."""
-    return dot(psi, mat_vec(m, psi))
+    c = psi.as_tuple()
+    return sum(x * y for x, y in zip(c, ref_vec(m, c)))
 
 
-def cycle_operator(vectors: Sequence[UnitVectorQ]) -> Mat3Q:
+def cycle_operator(vectors: Sequence[UnitVectorQ]) -> Rows:
     """Exact operator  sum_i A_i A_{i+1}  for a cycle of directions.
 
     For a geometry that passes ``check_cycle_vectors`` this matrix is exactly
-    symmetric (commuting symmetric factors), equals n*I - 4*sum_i v_i v_i^T
-    (the identity the search aims by; this is its exact oracle), and its
-    quadratic form at any state equals the cycle correlation sum there.
+    symmetric (commuting symmetric factors), equals n*I - 4*G (the identity
+    the search aims by; this is its exact oracle), and its quadratic form at
+    any state equals the cycle correlation sum there.
     """
     check_cycle_vectors(vectors)
-    matrices = [make_observable(u) for u in vectors]
-    total = Mat3Q.zero()
-    for a, b in zip(matrices, matrices[1:] + matrices[:1]):
-        total = total + mat_mul(a, b)
-    return total
+    mats = [observable_rows(u.v) for u in vectors]
+    return ref_sum([ref_mul(a, b) for a, b in zip(mats, mats[1:] + mats[:1])])

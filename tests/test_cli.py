@@ -167,7 +167,7 @@ def _checks_breaking(key):
     elif key == "value_in_range":
         # a doubled state and the projection route's value for it: far
         # below -n, yet the two agree
-        s.__dict__["state"] = SimpleNamespace(v=s.state.v * 2)
+        s.__dict__["state"] = SimpleNamespace(v=Vec3Q(*(2 * c for c in s.state.v.as_tuple())))
         value = kcbs_value_via_projections(s)
     elif key == "projection_identity_matches":
         value += Fraction(1, 10**30)

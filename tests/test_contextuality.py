@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rational_kcbs import contextuality
+from rational_kcbs import contextuality, linalg3
 from rational_kcbs.contextuality import (
     REFERENCE_STATE,
     REFERENCE_VECTORS,
@@ -27,11 +27,10 @@ from rational_kcbs.linalg3 import (
     dot,
     mat_mul,
     mat_vec,
-    outer,
 )
 from rational_kcbs.search import stereo_lift
 from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, rand_fraction
-from tests.oracles import cycle_operator, quadratic_form
+from tests.oracles import cycle_operator, observable_rows, outer_rows, quadratic_form, ref_vec
 
 DEGENERATE_VECTORS = (E_X, E_Y, E_X, E_Y, E_Z)
 
@@ -103,7 +102,7 @@ def test_observable_invariants():
 def test_projector_idempotent():
     # |v><v| for a unit v: the projector behind the projection route
     v = Vec3Q(*REF_VECTORS_RAW[3])
-    p = outer(v, v)
+    p = Mat3Q(outer_rows(v, v))
     assert mat_mul(p, p) == p
     assert p.trace() == 1
 
@@ -198,10 +197,21 @@ def test_validation_checks_each_invariant_once(monkeypatch):
 
 
 def test_observables_build_each_matrix_once(monkeypatch):
+    # one _mat per observable, from the ints the unit type already holds:
+    # no conversion to ints, no intermediate matrix
     s = reference_scenario()
-    calls = count_calls(monkeypatch, "outer")
+    calls = {"_mat": 0, "_ints": 0}
+    originals = {name: getattr(linalg3, name) for name in calls}
+    for name, fn in originals.items():
+
+        def wrapper(*args, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        for module in (linalg3, contextuality):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
     assert len(s.observables) == 5
-    assert calls == {"outer": 5}
+    assert calls == {"_mat": 5, "_ints": 0}
 
 
 def test_direct_scenario_construction_checks_geometry():
@@ -263,38 +273,44 @@ def rational_rotation(rng: random.Random, digits: int) -> tuple[tuple[Fraction, 
 
 
 def rotated(rows, v: Vec3Q) -> Vec3Q:
-    return Vec3Q(*(sum(r * c for r, c in zip(row, v.as_tuple())) for row in rows))
+    return Vec3Q(*ref_vec(rows, v.as_tuple()))
 
 
-def observable_rows(v: Vec3Q) -> tuple[tuple[Fraction, ...], ...]:
-    c = v.as_tuple()
-    return tuple(tuple(2 * c[i] * c[j] - (i == j) for j in range(3)) for i in range(3))
-
-
-def test_correlators_match_fraction_rows_oracle():
-    # seeded cycles rotated to components of about 60 digits, states lifted
-    # from 15-digit plane points; every correlator against plain Fraction
-    # rows and against the public route dot(mat_vec(A_i, psi), mat_vec(A_j, psi))
+def rotated_scenarios() -> list[CycleScenario]:
+    """48 seeded cycles rotated to components of about 60 digits, with states
+    lifted from 15-digit plane points."""
     rng = random.Random(6060)
     shapes = [REFERENCE_VECTORS, DEGENERATE_VECTORS, (E_X, E_Y, E_Z), (E_X, E_Y) * 3 + (E_Z,)]
+    scenarios = []
     for _ in range(12):
         for shape in shapes:
             rows = rational_rotation(rng, 30)
             state = stereo_lift(rand_fraction(rng, 10**15, 10**15), rand_fraction(rng, 10**15, 10**15)).v
-            s = validate_cycle(state, [rotated(rows, v) for v in shape])
-            assert max(c.denominator for u in s.vectors for c in u.v.as_tuple()) > 10**55
-            psi = state.as_tuple()
-            images = [
-                tuple(sum(x * y for x, y in zip(row, psi)) for row in observable_rows(u.v))
-                for u in s.vectors
-            ]
-            for i in range(s.n):
-                j = (i + 1) % s.n
-                expected = sum(x * y for x, y in zip(images[i], images[j]))
-                assert correlator(s, i) == expected
-                a, b = s.observables[i], s.observables[j]
-                assert correlator(s, i) == dot(mat_vec(a, state), mat_vec(b, state))
-            assert kcbs_value(s) == kcbs_value_via_projections(s)
+            scenarios.append(validate_cycle(state, [rotated(rows, v) for v in shape]))
+    return scenarios
+
+
+def test_observables_match_fraction_rows_oracle():
+    for s in rotated_scenarios():
+        for u, a in zip(s.vectors, s.observables):
+            assert a.rows == observable_rows(u.v)
+            assert a == Mat3Q(observable_rows(u.v))
+
+
+def test_correlators_match_fraction_rows_oracle():
+    # every correlator of the rotated cycles against plain Fraction rows and
+    # against the public route dot(mat_vec(A_i, psi), mat_vec(A_j, psi))
+    for s in rotated_scenarios():
+        state = s.state.v
+        assert max(c.denominator for u in s.vectors for c in u.v.as_tuple()) > 10**55
+        images = [ref_vec(observable_rows(u.v), state.as_tuple()) for u in s.vectors]
+        for i in range(s.n):
+            j = (i + 1) % s.n
+            expected = sum(x * y for x, y in zip(images[i], images[j]))
+            assert correlator(s, i) == expected
+            a, b = s.observables[i], s.observables[j]
+            assert correlator(s, i) == dot(mat_vec(a, state), mat_vec(b, state))
+        assert kcbs_value(s) == kcbs_value_via_projections(s)
 
 
 # --------------------------------------------------------------- cycle values
@@ -349,8 +365,8 @@ def test_adjacent_observables_commute():
 def test_cycle_operator_properties():
     s = reference_scenario()
     op = cycle_operator(s.vectors)
-    assert op.is_symmetric()
-    assert op.trace() == -5  # each product A_i A_{i+1} of orthogonal pair has trace -1
+    assert op == tuple(zip(*op))  # symmetric
+    assert sum(op[i][i] for i in range(3)) == -5  # each product A_i A_{i+1} of orthogonal pair has trace -1
     rng = random.Random(99)
     states = [s.state.v] + [random_unit_vec(rng) for _ in range(10)]
     for psi in states:

@@ -21,7 +21,7 @@ from rational_kcbs.contextuality import (
     validate_cycle,
 )
 from rational_kcbs.hv_models import is_violation
-from rational_kcbs.linalg3 import E_X, E_Y, E_Z, Mat3Q, Vec3Q, cross, dot, norm_sq, outer
+from rational_kcbs.linalg3 import E_X, E_Y, E_Z, Vec3Q, cross, dot, norm_sq
 from rational_kcbs.search import (
     MAX_MN,
     CircleParams,
@@ -38,7 +38,7 @@ from rational_kcbs.search import (
     stereo_project,
 )
 from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, rand_fraction
-from tests.oracles import cycle_operator
+from tests.oracles import IDENTITY_ROWS, cycle_operator, gram, ref_map
 
 # the package's ``search`` attribute is the function, so fetch the module itself
 search_module = importlib.import_module("rational_kcbs.search")
@@ -109,7 +109,7 @@ class TestNormalizedCross:
         v2, got, v4 = (u.v for u in pentagon[2:])
         # integer certificate: 7700^2 + 8208^2 + 6720^2 == 13108^2
         assert 7700**2 + 8208**2 + 6720**2 == 13108**2
-        assert got == Vec3Q(*REF_VECTORS_RAW[3]) == Vec3Q(7700, 8208, 6720) / 13108
+        assert got == Vec3Q(*REF_VECTORS_RAW[3]) == Vec3Q(Fraction(7700, 13108), Fraction(8208, 13108), Fraction(6720, 13108))
         assert dot(got, v2) == 0 and dot(got, v4) == 0
 
     def test_irrational_length_returns_none(self):
@@ -146,7 +146,7 @@ class TestNormalizedCross:
                 assert (built is not None) == rational, (p1, p2, s1, s2)
                 if rational:
                     closing += 1
-                    assert built[3].v == c / Fraction(num, den)
+                    assert built[3].v == Vec3Q(*(x / Fraction(num, den) for x in c.as_tuple()))
                     assert [u.v for u in built[2::2]] == [v2, v4]
         assert closing == 96
 
@@ -352,7 +352,9 @@ def odd_cycle(rng, n):
         a, b, c = cycle[at]
         odd, even, hyp = circle_triple(rng.choice(primitive_params(9)))
         cos, sin = Fraction(odd, hyp), Fraction(rng.choice((-1, 1)) * even, hyp)
-        x, y = b * cos + c * sin, c * cos - b * sin
+        pairs = list(zip(b.as_tuple(), c.as_tuple()))
+        x = Vec3Q(*(p * cos + q * sin for p, q in pairs))
+        y = Vec3Q(*(q * cos - p * sin for p, q in pairs))
         cycle[at + 1:at + 1] = [(x, y, a), (a, b, c)]
     return [UnitVectorQ(v) for v, _, _ in cycle]
 
@@ -369,17 +371,10 @@ SPECIAL_CYCLES = {
 }
 
 
-def gram(vectors):
-    total = Mat3Q.zero()
-    for u in vectors:
-        total = total + outer(u.v, u.v)
-    return total
-
-
 def eigh_of_cycle_operator(vectors):
     """Smallest eigenpair of the exact cycle operator by numpy.linalg.eigh."""
     op = cycle_operator(vectors)
-    eigenvalues, eigenvectors = np.linalg.eigh(np.array([[float(e) for e in row] for row in op.rows]))
+    eigenvalues, eigenvectors = np.linalg.eigh(np.array([[float(e) for e in row] for row in op]))
     return eigenvectors[:, 0], float(eigenvalues[0]), eigenvalues
 
 
@@ -389,7 +384,7 @@ class TestGramAim:
     def test_cycle_operator_is_n_minus_four_gram(self, pentagons_30):
         for vectors in pentagons_30 + ODD_CYCLES + list(SPECIAL_CYCLES.values()):
             n = len(vectors)
-            assert cycle_operator(vectors) == n * Mat3Q.identity() - 4 * gram(vectors)
+            assert cycle_operator(vectors) == ref_map(lambda i, g: n * i - 4 * g, IDENTITY_ROWS, gram(vectors))
 
     def test_eigenpair_matches_eigh(self, pentagons_30):
         unique = pentagons_30 + ODD_CYCLES[2:] + [
@@ -415,7 +410,7 @@ class TestGramAim:
         assert abs(eigenvalues[1] - eigenvalues[0]) < 1e-12
         assert abs(lam - ref_lam) < 1e-12
         assert abs(math.hypot(*vec) - 1) < 1e-12
-        op = np.array([[float(e) for e in row] for row in cycle_operator(vectors).rows])
+        op = np.array([[float(e) for e in row] for row in cycle_operator(vectors)])
         assert np.linalg.norm(op @ np.array(vec) - ref_lam * np.array(vec)) < 1e-12
 
     def test_identity_aims_at_e_x(self):
@@ -481,7 +476,7 @@ class TestRationalizeState:
         # -354/685 and -357/685, recoverable exactly with max_den >= 685
         floats = [float(c) for c in REF_STATE_RAW]
         state = rationalize_state(floats, 700)
-        assert state.v == -Vec3Q(*REF_STATE_RAW)
+        assert state.v == Vec3Q(*(-c for c in REF_STATE_RAW))
 
     def test_errors(self):
         with pytest.raises(ValueError):
