@@ -162,12 +162,15 @@ def _load_scenario(path: str) -> CycleScenario | None:
         return None
 
 
-def cmd_reference(args: argparse.Namespace) -> int:
-    scenario = reference_scenario()
-    report = build_report(scenario, args.digits)
+def _report(scenario: CycleScenario, digits: int) -> int:
+    report = build_report(scenario, digits)
     _emit(report)
     _note(_summarize(report, scenario.n))
     return 0
+
+
+def cmd_reference(args: argparse.Namespace) -> int:
+    return _report(reference_scenario(), args.digits)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -183,10 +186,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.config)
     if scenario is None:
         return 1
-    report = build_report(scenario, args.digits)
-    _emit(report)
-    _note(_summarize(report, scenario.n))
-    return 0
+    return _report(scenario, args.digits)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -234,11 +234,13 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def _digits(text: str) -> int:
-    if not 0 <= int(text) <= MAX_DIGITS:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer from 0 to {MAX_DIGITS}, got {text}"
-        )
-    return int(text)
+    try:
+        digits = int(text)
+        if 0 <= digits <= MAX_DIGITS:
+            return digits
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer from 0 to {MAX_DIGITS}, got {text}")
 
 
 @functools.cache

@@ -5,11 +5,11 @@ The construction works entirely on rational points of the unit sphere:
 * ``circle_triple`` turns coprime opposite-parity (m, n) into a primitive
   Pythagorean triple, i.e. a rational unit vector in a coordinate plane.
 * ``build_pentagon`` places v0 = e_x, v1 = e_y, puts v2 in the x-z plane and
-  v4 in the y-z plane from two such triples (z-components negative by
-  default), and closes the cycle with v3 = cross(v2, v4) normalized.  That
-  normalization stays rational exactly when the integer cross product
-  h1*h2*cross(v2, v4) has a perfect-square squared length; v3 is then that
-  integer vector over its integer length.  Four of the five
+  v4 in the y-z plane from two such triples (z-components negative), and
+  closes the cycle with v3 = cross(v2, v4) normalized.  That normalization
+  stays rational exactly when the integer cross product h1*h2*cross(v2, v4)
+  has a perfect-square squared length; v3 is then that integer vector over
+  its integer length.  Four of the five
   orthogonalities hold by placement; the cross product supplies the
   remaining two.  One integer test decides closure, and ``search`` applies
   it to the triples before it builds any Fraction, so only closing pairs
@@ -56,7 +56,7 @@ EIGEN_RESIDUAL_TOL = 1e-12
 MAX_MN = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CircleParams:
     """Parameters of a primitive Pythagorean triple: m > n >= 1, coprime,
     opposite parity."""
@@ -90,11 +90,10 @@ def _closing_cross(
 
     For v2 = (b1, 0, z1)/h1 and v4 = (0, b2, z2)/h2 from the triples
     (a, b, h), h1*h2*cross(v2, v4) is the integer vector
-    (-z1*b2, -b1*z2, b1*b2), i.e. (a1*b2, b1*a2, b1*b2) at the default
-    z = -a.  cross(v2, v4) normalized is rational exactly when that vector's
-    squared length is a perfect square; then the vector and its integer
-    length are returned, else None.  Flipping the z-sign of v2 (v4) negates
-    the first (second) component and leaves the decision unchanged.
+    (-z1*b2, -b1*z2, b1*b2), i.e. (a1*b2, b1*a2, b1*b2) at z = -a.
+    cross(v2, v4) normalized is rational exactly when that vector's squared
+    length is a perfect square; then the vector and its integer length are
+    returned, else None.
     """
     a1, b1, _ = t1
     a2, b2, _ = t2
@@ -106,18 +105,12 @@ def _closing_cross(
     return (x, y, z), root
 
 
-def build_pentagon(
-    p1: CircleParams,
-    p2: CircleParams,
-    *,
-    flip_v2_z: bool = False,
-    flip_v4_z: bool = False,
-) -> list[UnitVectorQ] | None:
+def build_pentagon(p1: CircleParams, p2: CircleParams) -> list[UnitVectorQ] | None:
     """Assemble a rational 5-cycle from two circle parametrizations.
 
     v0 = e_x and v1 = e_y; v2 lies in the x-z plane from p1, v4 in the y-z
-    plane from p2 (z-components negative unless flipped); v3 closes the cycle
-    as cross(v2, v4) normalized, built as the integer cross product over its
+    plane from p2 (z-components negative); v3 closes the cycle as
+    cross(v2, v4) normalized, built as the integer cross product over its
     integer length.  Returns None when that length is irrational; any
     returned list passes ``check_cycle_vectors``.
     """
@@ -128,14 +121,9 @@ def build_pentagon(
     (x, y, z), root = closing
     odd1, even1, hyp1 = t1
     odd2, even2, hyp2 = t2
-    z1, z2 = -odd1, -odd2
-    if flip_v2_z:
-        z1, x = -z1, -x
-    if flip_v4_z:
-        z2, y = -z2, -y
-    v2 = UnitVectorQ(Vec3Q(Fraction(even1, hyp1), Fraction(0), Fraction(z1, hyp1)))
+    v2 = UnitVectorQ(Vec3Q(Fraction(even1, hyp1), Fraction(0), Fraction(-odd1, hyp1)))
     v3 = UnitVectorQ(Vec3Q(Fraction(x, root), Fraction(y, root), Fraction(z, root)))
-    v4 = UnitVectorQ(Vec3Q(Fraction(0), Fraction(even2, hyp2), Fraction(z2, hyp2)))
+    v4 = UnitVectorQ(Vec3Q(Fraction(0), Fraction(even2, hyp2), Fraction(-odd2, hyp2)))
     return [UnitVectorQ(E_X), UnitVectorQ(E_Y), v2, v3, v4]
 
 
@@ -161,32 +149,20 @@ def stereo_project(v: UnitVectorQ) -> tuple[Fraction, Fraction]:
 def best_rational_approx(x: float | Fraction | int, max_den: int) -> Fraction:
     """Closest fraction to x with denominator <= max_den.
 
-    Walks continued-fraction convergents and takes the final semiconvergent
-    that still fits the bound; the true optimum is always one of those two
-    candidates.  Ties prefer the smaller denominator, then the smaller
-    absolute numerator.  x must be finite; max_den must be >= 1.
+    ``Fraction.limit_denominator`` finds it; ties prefer the smaller
+    denominator, then the smaller absolute numerator.  On a tie the standard
+    library keeps the convergent, which for x < 0 is the candidate farther
+    from zero, so negative x is approximated as -(-x).  x must be finite;
+    max_den must be >= 1.
     """
     if max_den < 1:
         raise ValueError(f"max_den must be >= 1, got {max_den}")
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     fx = Fraction(x)
-    p_prev, q_prev, p_cur, q_cur = 0, 1, 1, 0
-    num, den = fx.numerator, fx.denominator
-    while den:
-        a = num // den
-        if q_prev + a * q_cur > max_den:
-            break
-        p_prev, p_cur = p_cur, p_prev + a * p_cur
-        q_prev, q_cur = q_cur, q_prev + a * q_cur
-        num, den = den, num - a * den
-    else:
-        return Fraction(p_cur, q_cur)  # x itself fits the bound
-    k = (max_den - q_prev) // q_cur
-    candidates = [Fraction(p_cur, q_cur), Fraction(p_prev + k * p_cur, q_prev + k * q_cur)]
-    return min(
-        candidates, key=lambda f: (abs(fx - f), f.denominator, abs(f.numerator))
-    )
+    if fx < 0:
+        return -(-fx).limit_denominator(max_den)
+    return fx.limit_denominator(max_den)
 
 
 Float3 = tuple[float, float, float]
@@ -325,13 +301,5 @@ def search(max_mn: int, max_den: int, top_k: int) -> list[SearchHit]:
                         state_denominator_bound=max_den,
                     )
                 )
-    hits.sort(
-        key=lambda h: (
-            h.value,
-            h.params[0].m,
-            h.params[0].n,
-            h.params[1].m,
-            h.params[1].n,
-        )
-    )
+    hits.sort(key=lambda h: (h.value, h.params))
     return hits[:top_k]

@@ -1,7 +1,7 @@
 """Exact test oracles on plain rows of Fractions: matrix products, the
 observables 2 v v^T - I, the Gram matrix, the cycle operator and its
-quadratic form.  They share nothing with the program's integer matrix
-kernel; tests check its routes against them."""
+quadratic form, and the z-mirrored pentagons.  They share nothing with the
+program's integer matrix kernel; tests check its routes against them."""
 
 from __future__ import annotations
 
@@ -52,6 +52,24 @@ def quadratic_form(psi: Vec3Q, m: Rows) -> Fraction:
     """psi^T M psi, exact."""
     c = psi.as_tuple()
     return sum(x * y for x, y in zip(c, ref_vec(m, c)))
+
+
+def z_flipped_pentagon(
+    pentagon: Sequence[UnitVectorQ], flip_v2: bool, flip_v4: bool
+) -> list[UnitVectorQ]:
+    """A ``build_pentagon`` cycle with the z-sign of v2 and/or v4 made
+    positive.  Flipping v2 negates v2.z and v3.x (the mirror x -> -x, up to
+    the signs of v0 and v2); flipping v4 negates v4.z and v3.y (the mirror
+    y -> -y).  The result is again a valid cycle."""
+    v0, v1, v2, v3, v4 = (u.v for u in pentagon)
+    s2, s4 = (-1 if flip_v2 else 1), (-1 if flip_v4 else 1)
+    return [
+        UnitVectorQ(v0),
+        UnitVectorQ(v1),
+        UnitVectorQ(Vec3Q(v2.x, v2.y, s2 * v2.z)),
+        UnitVectorQ(Vec3Q(s2 * v3.x, s4 * v3.y, v3.z)),
+        UnitVectorQ(Vec3Q(v4.x, v4.y, s4 * v4.z)),
+    ]
 
 
 def cycle_operator(vectors: Sequence[UnitVectorQ]) -> Rows:

@@ -499,26 +499,31 @@ DIGITS_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", DIGITS_COMMANDS)
-def test_negative_digits_exits_via_argparse(capsys, tmp_path, argv):
+def assert_digits_refused(capsys, tmp_path, argv, text):
     argv = [write_config(tmp_path, REF_CONFIG) if a == "CONFIG" else a for a in argv]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--digits", "-1"])
+        main([*argv, "--digits", text])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err
-    assert "--digits" in err
+    assert f"--digits: must be an integer from 0 to {MAX_DIGITS}, got {text}" in err
+    assert "_digits" not in err  # the converter's name is no part of the message
+
+
+@pytest.mark.parametrize("argv", DIGITS_COMMANDS)
+def test_negative_digits_exits_via_argparse(capsys, tmp_path, argv):
+    assert_digits_refused(capsys, tmp_path, argv, "-1")
 
 
 @pytest.mark.parametrize("argv", DIGITS_COMMANDS)
 def test_digits_above_limit_exit_via_argparse(capsys, tmp_path, argv):
-    argv = [write_config(tmp_path, REF_CONFIG) if a == "CONFIG" else a for a in argv]
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--digits", str(MAX_DIGITS + 1)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "usage:" in err
-    assert "--digits" in err
+    assert_digits_refused(capsys, tmp_path, argv, str(MAX_DIGITS + 1))
+
+
+@pytest.mark.parametrize("text", ["abc", "1.5"])
+@pytest.mark.parametrize("argv", DIGITS_COMMANDS)
+def test_non_integer_digits_exit_via_argparse(capsys, tmp_path, argv, text):
+    assert_digits_refused(capsys, tmp_path, argv, text)
 
 
 def test_digits_limit_is_inclusive(capsys):

@@ -38,7 +38,7 @@ from rational_kcbs.search import (
     stereo_project,
 )
 from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, rand_fraction
-from tests.oracles import IDENTITY_ROWS, cycle_operator, gram, ref_map
+from tests.oracles import IDENTITY_ROWS, cycle_operator, gram, ref_map, z_flipped_pentagon
 
 # the package's ``search`` attribute is the function, so fetch the module itself
 search_module = importlib.import_module("rational_kcbs.search")
@@ -97,6 +97,11 @@ class TestCircleTriple:
             assert math.gcd(a, b) == 1
             assert a > 0 and b > 0
 
+    def test_params_order_is_m_then_n(self):
+        # search orders equal values by params, i.e. by this order
+        params = primitive_params(30)
+        assert sorted(params) == params
+
 
 # ------------------------------------------------------------ pentagon closure
 
@@ -130,11 +135,14 @@ class TestNormalizedCross:
     def test_matches_fraction_cross_oracle(self):
         # build_pentagon returns None exactly when cross(v2, v4) computed in
         # Fractions has an irrational length, and v3 is otherwise that cross
-        # over its length
+        # over its length.  The Fraction side also tries positive z-signs:
+        # closure does not depend on them, and the z-flipped pentagons are
+        # the mirrored ones.
         params = primitive_params(30)
         triples = [circle_triple(p) for p in params]
         closing = 0
         for (p1, (a1, b1, h1)), (p2, (a2, b2, h2)) in itertools.product(zip(params, triples), repeat=2):
+            built = build_pentagon(p1, p2)
             for s1, s2 in itertools.product((-1, 1), repeat=2):
                 v2 = Vec3Q(Fraction(b1, h1), 0, Fraction(s1 * a1, h1))
                 v4 = Vec3Q(0, Fraction(b2, h2), Fraction(s2 * a2, h2))
@@ -142,12 +150,12 @@ class TestNormalizedCross:
                 length_sq = norm_sq(c)
                 num, den = math.isqrt(length_sq.numerator), math.isqrt(length_sq.denominator)
                 rational = num * num == length_sq.numerator and den * den == length_sq.denominator
-                built = build_pentagon(p1, p2, flip_v2_z=s1 > 0, flip_v4_z=s2 > 0)
                 assert (built is not None) == rational, (p1, p2, s1, s2)
                 if rational:
                     closing += 1
-                    assert built[3].v == Vec3Q(*(x / Fraction(num, den) for x in c.as_tuple()))
-                    assert [u.v for u in built[2::2]] == [v2, v4]
+                    pentagon = z_flipped_pentagon(built, s1 > 0, s2 > 0)
+                    assert pentagon[3].v == Vec3Q(*(x / Fraction(num, den) for x in c.as_tuple()))
+                    assert [u.v for u in pentagon[2::2]] == [v2, v4]
         assert closing == 96
 
 
@@ -163,23 +171,12 @@ class TestBuildPentagon:
         assert 12**2 + 12**2 + 16**2 == 544
         assert math.isqrt(544) ** 2 != 544
 
-    def test_flipped_z_still_closes(self):
-        pentagon = build_pentagon(
-            CircleParams(8, 3), CircleParams(14, 5), flip_v2_z=True
-        )
-        assert pentagon is not None
-        assert pentagon[2].v.z == Fraction(55, 73)
-        check_cycle_vectors(pentagon)
-
     def test_results_always_pass_geometry_checks(self):
         for p1 in primitive_params(8):
             for p2 in primitive_params(8):
-                for flips in ((False, False), (True, False), (False, True)):
-                    pentagon = build_pentagon(
-                        p1, p2, flip_v2_z=flips[0], flip_v4_z=flips[1]
-                    )
-                    if pentagon is not None:
-                        check_cycle_vectors(pentagon)
+                pentagon = build_pentagon(p1, p2)
+                if pentagon is not None:
+                    check_cycle_vectors(pentagon)
 
 
 # ------------------------------------------------------------- stereographics
@@ -259,6 +256,8 @@ class TestBestRationalApprox:
             (Fraction(1, 2), 1, Fraction(0)),    # tie -> smaller |numerator|
             (Fraction(-1, 2), 1, Fraction(0)),
             (Fraction(5, 2), 1, Fraction(2)),
+            (Fraction(-3, 2), 1, Fraction(-1)),  # not the convergent -2
+            (-0.5, 1, Fraction(0)),
         ],
     )
     def test_ties(self, x, max_den, expected):
@@ -315,12 +314,11 @@ class TestOptimalStateNumeric:
 def pentagons_30():
     """Every pentagon ``build_pentagon`` closes in primitive_params(30), under
     all four z-flip combinations."""
-    pentagons = []
-    for p1, p2, _pentagon in closable_pairs(30):
-        for flips in itertools.product((False, True), repeat=2):
-            pentagon = build_pentagon(p1, p2, flip_v2_z=flips[0], flip_v4_z=flips[1])
-            assert pentagon is not None, (p1, p2, flips)
-            pentagons.append(pentagon)
+    pentagons = [
+        z_flipped_pentagon(pentagon, *flips)
+        for _p1, _p2, pentagon in closable_pairs(30)
+        for flips in itertools.product((False, True), repeat=2)
+    ]
     assert len(pentagons) == 4 * 24
     return pentagons
 
@@ -576,11 +574,7 @@ class TestClosurePrefilter:
             for p2 in params:
                 closes = _closing_cross(circle_triple(p1), circle_triple(p2)) is not None
                 closing += closes
-                for flips in itertools.product((False, True), repeat=2):
-                    built = build_pentagon(
-                        p1, p2, flip_v2_z=flips[0], flip_v4_z=flips[1]
-                    )
-                    assert closes == (built is not None), (p1, p2, flips)
+                assert closes == (build_pentagon(p1, p2) is not None), (p1, p2)
         assert 0 < closing < len(params) ** 2
 
     def test_search_builds_only_closable_pairs(self, monkeypatch):
