@@ -15,7 +15,6 @@ from .linalg3 import (
     cross,
     dot,
     mat_mul,
-    mat_vec,
     norm_sq,
 )
 from .contextuality import (
@@ -31,7 +30,6 @@ from .contextuality import (
 )
 from .hv_models import (
     Assignment,
-    assignment_value,
     classical_min_cycle,
     is_violation,
 )
@@ -45,7 +43,6 @@ from .search import (
     rationalize_state,
     search,
     stereo_lift,
-    stereo_project,
 )
 
 __version__ = "0.1.0"

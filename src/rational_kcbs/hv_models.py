@@ -33,19 +33,10 @@ class Assignment:
         if any(o not in (-1, 1) for o in self.outcomes):
             raise ValueError(f"outcomes must be -1 or +1, got {self.outcomes}")
 
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-
-def assignment_value(a: Assignment) -> int:
-    """sum_i a_i * a_{i+1 mod n}: the cycle sum under a deterministic model."""
-    o = a.outcomes
-    n = len(o)
-    return sum(o[i] * o[(i + 1) % n] for i in range(n))
-
 
 def classical_min_cycle(n: int) -> tuple[int, Assignment]:
-    """Minimum of ``assignment_value`` over all 2^n assignments, with witness.
+    """Minimum of the cycle sum  sum_i a_i * a_{i+1 mod n}  over all 2^n
+    assignments, with witness.
 
     The witness is the lexicographically smallest minimizer under -1 < +1.
     A global sign flip keeps the value, so fixing a_0 = -1 loses nothing.  A

@@ -6,7 +6,7 @@ holds three Fractions and has no arithmetic of its own: ``dot``, ``norm_sq``
 and ``cross`` are what certificates need.  A ``Mat3Q`` holds nine ints over
 one positive denominator in lowest terms, so matrix products and comparisons
 run on Python ints; a Fraction is built only where a value leaves the matrix
-(``rows``, ``trace()`` and the components of ``mat_vec``).  The private
+(``rows`` and ``trace()``).  The private
 integer kernels ``_ints``, ``_int_dot`` and ``_int_mat_vec`` let callers keep
 a vector as three ints over one denominator and build one Fraction at the
 end; ``_mat`` builds a matrix straight from nine such ints.
@@ -117,10 +117,6 @@ class Mat3Q:
         n = self._num
         return Fraction(n[0] + n[4] + n[8], self._den)
 
-    def is_symmetric(self) -> bool:
-        n = self._num
-        return n[1] == n[3] and n[2] == n[6] and n[5] == n[7]
-
 
 def dot(u: Vec3Q, v: Vec3Q) -> Fraction:
     """Exact inner product (components are real, no conjugation)."""
@@ -165,8 +161,3 @@ def _int_mat_vec(a: Mat3Q, num: Sequence[int], den: int) -> tuple[tuple[int, int
         (n[0] * x + n[1] * y + n[2] * z, n[3] * x + n[4] * y + n[5] * z, n[6] * x + n[7] * y + n[8] * z),
         a._den * den,
     )
-
-
-def mat_vec(a: Mat3Q, v: Vec3Q) -> Vec3Q:
-    num, den = _int_mat_vec(a, *_ints(v.as_tuple()))
-    return Vec3Q(*(Fraction(c, den) for c in num))

@@ -137,15 +137,6 @@ def stereo_lift(p: Fraction | int, q: Fraction | int) -> UnitVectorQ:
     return UnitVectorQ(Vec3Q(2 * p / scale, 2 * q / scale, (1 - p * p - q * q) / scale))
 
 
-def stereo_project(v: UnitVectorQ) -> tuple[Fraction, Fraction]:
-    """Stereographic chart (x, y, z) -> (x/(1+z), y/(1+z)); exact inverse of
-    ``stereo_lift`` away from the pole z = -1, where it raises ValueError."""
-    if v.v.z == -1:
-        raise ValueError("stereographic projection undefined at the pole z = -1")
-    denom = 1 + v.v.z
-    return (v.v.x / denom, v.v.y / denom)
-
-
 def best_rational_approx(x: float | Fraction | int, max_den: int) -> Fraction:
     """Closest fraction to x with denominator <= max_den.
 

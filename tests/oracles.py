@@ -1,7 +1,8 @@
 """Exact test oracles on plain rows of Fractions: matrix products, the
 observables 2 v v^T - I, the Gram matrix, the cycle operator and its
-quadratic form, and the z-mirrored pentagons.  They share nothing with the
-program's integer matrix kernel; tests check its routes against them."""
+quadratic form, the z-mirrored pentagons and the stereographic chart.  They
+share nothing with the program's integer matrix kernel; tests check its
+routes against them."""
 
 from __future__ import annotations
 
@@ -70,6 +71,12 @@ def z_flipped_pentagon(
         UnitVectorQ(Vec3Q(s2 * v3.x, s4 * v3.y, v3.z)),
         UnitVectorQ(Vec3Q(v4.x, v4.y, s4 * v4.z)),
     ]
+
+
+def stereo_chart(v: Vec3Q) -> tuple[Fraction, Fraction]:
+    """(x, y, z) -> (x / (1 + z), y / (1 + z)): the chart ``stereo_lift``
+    inverts, away from the pole z = -1."""
+    return (v.x / (1 + v.z), v.y / (1 + v.z))
 
 
 def cycle_operator(vectors: Sequence[UnitVectorQ]) -> Rows:

@@ -26,7 +26,6 @@ from rational_kcbs.linalg3 import (
     Vec3Q,
     dot,
     mat_mul,
-    mat_vec,
 )
 from rational_kcbs.search import stereo_lift
 from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, rand_fraction
@@ -94,7 +93,7 @@ def test_observable_invariants():
     directions += [random_unit_vec(rng) for _ in range(40)]
     for v in directions:
         m = make_observable(UnitVectorQ(v))
-        assert m.is_symmetric()
+        assert m.rows == tuple(zip(*m.rows))
         assert m.trace() == -1
         assert mat_mul(m, m) == Mat3Q.identity()
 
@@ -299,7 +298,7 @@ def test_observables_match_fraction_rows_oracle():
 
 def test_correlators_match_fraction_rows_oracle():
     # every correlator of the rotated cycles against plain Fraction rows and
-    # against the public route dot(mat_vec(A_i, psi), mat_vec(A_j, psi))
+    # against (A_i psi) . (A_j psi) for the program's own observables
     for s in rotated_scenarios():
         state = s.state.v
         assert max(c.denominator for u in s.vectors for c in u.v.as_tuple()) > 10**55
@@ -309,7 +308,7 @@ def test_correlators_match_fraction_rows_oracle():
             expected = sum(x * y for x, y in zip(images[i], images[j]))
             assert correlator(s, i) == expected
             a, b = s.observables[i], s.observables[j]
-            assert correlator(s, i) == dot(mat_vec(a, state), mat_vec(b, state))
+            assert correlator(s, i) == dot(rotated(a.rows, state), rotated(b.rows, state))
         assert kcbs_value(s) == kcbs_value_via_projections(s)
 
 

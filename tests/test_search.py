@@ -35,10 +35,9 @@ from rational_kcbs.search import (
     rationalize_state,
     search,
     stereo_lift,
-    stereo_project,
 )
 from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, rand_fraction
-from tests.oracles import IDENTITY_ROWS, cycle_operator, gram, ref_map, z_flipped_pentagon
+from tests.oracles import IDENTITY_ROWS, cycle_operator, gram, ref_map, stereo_chart, z_flipped_pentagon
 
 # the package's ``search`` attribute is the function, so fetch the module itself
 search_module = importlib.import_module("rational_kcbs.search")
@@ -196,23 +195,14 @@ class TestStereo:
             u = stereo_lift(rand_fraction(rng, 200, 99), rand_fraction(rng, 200, 99))
             assert norm_sq(u.v) == 1
 
-    def test_project_examples(self):
-        assert stereo_project(UnitVectorQ(Vec3Q(0, 0, 1))) == (0, 0)
-        psi = UnitVectorQ(Vec3Q(*REF_STATE_RAW))
-        assert stereo_project(psi) == (Fraction(118, 123), Fraction(119, 123))
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            stereo_project(UnitVectorQ(Vec3Q(0, 0, -1)))
-
     def test_round_trips(self):
         rng = random.Random(654)
         for _ in range(300):
             p, q = rand_fraction(rng, 50, 30), rand_fraction(rng, 50, 30)
-            assert stereo_project(stereo_lift(p, q)) == (p, q)
+            assert stereo_chart(stereo_lift(p, q).v) == (p, q)
         for components in REF_VECTORS_RAW:
-            u = UnitVectorQ(Vec3Q(*components))
-            assert stereo_lift(*stereo_project(u)).v == u.v
+            v = Vec3Q(*components)
+            assert stereo_lift(*stereo_chart(v)).v == v
 
 
 # ------------------------------------------------------- rational approximation
@@ -308,6 +298,22 @@ class TestOptimalStateNumeric:
     def test_invalid_cycle_rejected(self):
         with pytest.raises(CycleValidationError):
             optimal_state_numeric((UnitVectorQ(E_X), UnitVectorQ(E_Y), UnitVectorQ(E_Y)))
+
+    def test_residual_check_raises_above_tolerance(self, monkeypatch):
+        # at tolerance 0 the reference pentagon's rounding-level residual fails
+        # the check, and the message names numpy's residual of the same pair
+        vectors = [UnitVectorQ(Vec3Q(*c)) for c in REF_VECTORS_RAW]
+        vec, lam = optimal_state_numeric(vectors)
+        op = np.array([[float(e) for e in row] for row in cycle_operator(vectors)])
+        expected = np.linalg.norm(op @ np.array(vec) - lam * np.array(vec))
+        monkeypatch.setattr(search_module, "EIGEN_RESIDUAL_TOL", 0.0)
+        with pytest.raises(ArithmeticError, match="eigen-solve residual") as err:
+            optimal_state_numeric(vectors)
+        residual = float(str(err.value).split()[2])
+        assert 0 < residual and abs(residual - expected) < 1e-15
+        # the axis triangle's operator is exactly -I: residual exactly 0
+        _vec, lam = optimal_state_numeric((UnitVectorQ(E_X), UnitVectorQ(E_Y), UnitVectorQ(E_Z)))
+        assert lam == -1.0
 
 
 @pytest.fixture(scope="module")
