@@ -5,7 +5,7 @@ All fractions are serialized as strings in the ``p`` / ``p/q`` wire format,
 never as floating-point JSON numbers, so output re-parses to the exact
 computed values.  Exit codes: 0 success/valid, 1 validation failure (the
 failing invariant is named), 2 I/O, parse or argument error (JSON nested too
-deeply or holding an oversized number included).
+deeply, holding an oversized number or repeating a key included).
 
 Config file schema (UTF-8 JSON)::
 
@@ -56,6 +56,15 @@ def _parse_triple(raw: Any, what: str) -> Vec3Q:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
+def _object_once(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    data: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config JSON repeats the key {json.dumps(key)}")
+        data[key] = value
+    return data
+
+
 def load_config(path: str) -> tuple[Vec3Q, list[Vec3Q]]:
     """Read and parse a config file; raises OSError, UnicodeDecodeError,
     json.JSONDecodeError, or ConfigError.  Validation of the parsed scenario
@@ -63,8 +72,8 @@ def load_config(path: str) -> tuple[Vec3Q, list[Vec3Q]]:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
+        data = json.loads(text, object_pairs_hook=_object_once)
+    except (json.JSONDecodeError, ConfigError):
         raise
     except RecursionError:
         raise ConfigError("config JSON is nested too deeply") from None

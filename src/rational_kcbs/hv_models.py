@@ -3,10 +3,11 @@
 A deterministic noncontextual model assigns every observable on the cycle a
 fixed outcome in {-1, +1}; the cycle correlation sum then becomes an integer
 sum of adjacent products.  ``classical_min_cycle`` certifies the minimum over
-all 2^n assignments with a min-plus product of the cycle's n 2x2 transfer
-matrices: every assignment is a path through that product, so the result is
-exhaustive, in O(n) integer work.  The closed form -(n - 2) for odd n is
-asserted afterwards as a cross-check, never assumed.
+all 2^n assignments with a min-plus pass that keeps two running minima per
+step, the least suffix sum given a_i = -1 and given a_i = +1: every
+assignment is a path through those minima, so the result is exhaustive, in
+O(n) integer work.  The closed form -(n - 2) for odd n is asserted
+afterwards as a cross-check, never assumed.
 Probabilistic (mixed) models need no separate treatment: the cycle sum is
 linear in the outcome distribution, so its minimum over the convex hull of
 deterministic assignments is attained at a deterministic one.
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-_OUTCOMES = (-1, 1)  # lexicographic order: -1 < +1
 
 
 @dataclass(frozen=True)
@@ -50,26 +49,23 @@ def classical_min_cycle(n: int) -> tuple[int, Assignment]:
         raise TypeError(f"cycle length must be an int, got {n!r}")
     if n % 2 == 0 or n < 3:
         raise ValueError(f"cycle length must be odd and >= 3, got {n}")
-    first = _OUTCOMES[0]
-    # suffix[i][k]: least sum of the edges a_i a_{i+1}, ..., a_{n-1} a_0
-    # given a_i = _OUTCOMES[k]
-    suffix = [()] * n
-    suffix[n - 1] = tuple(a * first for a in _OUTCOMES)
-    for i in range(n - 2, 0, -1):
-        after = tuple(zip(_OUTCOMES, suffix[i + 1]))
-        suffix[i] = tuple(min(a * b + s for b, s in after) for a in _OUTCOMES)
-    best = min(first * b + s for b, s in zip(_OUTCOMES, suffix[1]))
-    outcomes = [first]
-    rest = best  # what the edges from a_{i-1} on must still sum to
-    for i in range(1, n):
-        prev = outcomes[-1]
-        pick = next(b for b, s in zip(_OUTCOMES, suffix[i]) if prev * b + s == rest)
-        rest -= prev * pick
+    # lo / hi: least sum of the edges a_i a_{i+1}, ..., a_{n-1} a_0 given
+    # a_i = -1 / +1, with a_0 = -1; lows[i] keeps each lo, lows[0] the minimum
+    lows = [1] * n
+    lo, hi = 1, -1  # i = n - 1: the closing edge a_{n-1} a_0 alone
+    for i in range(n - 2, -1, -1):
+        lo, hi = min(lo + 1, hi - 1), min(lo - 1, hi + 1)
+        lows[i] = lo
+    outcomes = [-1]
+    rest = lows[0]  # what the edges from a_{i-1} on must still sum to
+    for lo in lows[1:]:
+        pick = -1 if lo - outcomes[-1] == rest else 1
+        rest -= outcomes[-1] * pick
         outcomes.append(pick)
     # For odd n the number of disagreeing adjacent pairs is always even, so
     # the certified minimum must land exactly on -(n - 2).
-    assert best == -(n - 2), f"min-plus pass found {best}, expected {-(n - 2)}"
-    return best, Assignment(outcomes)
+    assert lows[0] == -(n - 2), f"min-plus pass found {lows[0]}, expected {-(n - 2)}"
+    return lows[0], Assignment(outcomes)
 
 
 def is_violation(value: Fraction | int, n: int) -> bool:

@@ -390,22 +390,62 @@ def test_non_utf8_config_exits_2(capsys, tmp_path, command):
     assert err.startswith("error:")
 
 
+def _members(*pairs):
+    """JSON object text with the given (key, value) members in order, repeats kept."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+
+
+AXIS_STATE = ["0", "0", "1"]  # a valid state with no violation (value -0.717)
+
+
 @pytest.mark.parametrize("command", ["verify", "evaluate"])
 @pytest.mark.parametrize(
-    "text",
+    "text,message",
     [
-        "[" * 100_000 + "]" * 100_000,  # nested beyond the recursion limit
-        '{"state": [' + "1" * 5000 + '], "vectors": []}',  # beyond the int digit limit
+        ("[" * 100_000 + "]" * 100_000, "is nested too deeply"),  # beyond the recursion limit
+        ('{"state": [' + "1" * 5000 + '], "vectors": []}', "has an oversized number"),
+        # json.loads alone keeps the last of two equal names, so the file
+        # would show one certificate while another is checked
+        (
+            _members(
+                ("state", REF_CONFIG["state"]),
+                ("state", AXIS_STATE),
+                ("vectors", REF_CONFIG["vectors"]),
+            ),
+            'repeats the key "state"\n',
+        ),
+        (
+            _members(
+                ("state", AXIS_STATE),
+                ("vectors", REF_CONFIG["vectors"]),
+                ("state", REF_CONFIG["state"]),
+            ),
+            'repeats the key "state"\n',
+        ),
+        (
+            _members(
+                ("state", REF_CONFIG["state"]),
+                ("vectors", DEGENERATE_CONFIG["vectors"]),
+                ("vectors", REF_CONFIG["vectors"]),
+            ),
+            'repeats the key "vectors"\n',
+        ),
     ],
-    ids=["deep-nesting", "oversized-number"],
+    ids=[
+        "deep-nesting",
+        "oversized-number",
+        "repeated-state-reference-first",
+        "repeated-state-axis-first",
+        "repeated-vectors",
+    ],
 )
-def test_hostile_json_exits_2(capsys, tmp_path, command, text):
+def test_hostile_json_exits_2(capsys, tmp_path, command, text, message):
     path = tmp_path / "hostile.json"
     path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, command, str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: config JSON")
+    assert err.startswith(f"error: config JSON {message}")
 
 
 def test_evaluate_long_cycle_certifies_bound(capsys, tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rational_kcbs.cli import MAX_BOUND_N
 from rational_kcbs.hv_models import (
     Assignment,
     classical_min_cycle,
@@ -54,7 +55,8 @@ class TestClassicalMin:
         assert witness.outcomes == (-1, -1, 1, -1, 1)
         assert cycle_sum(witness.outcomes) == -3
 
-    @pytest.mark.parametrize("n", [27, 101, 1001])
+    # MAX_BOUND_N: the largest cycle a ``bound`` request accepts
+    @pytest.mark.parametrize("n", [27, 101, 1001, MAX_BOUND_N])
     def test_long_cycles_beyond_brute_force(self, n):
         value, witness = classical_min_cycle(n)
         assert value == -(n - 2)

@@ -547,6 +547,26 @@ class TestSearch:
         assert len(one) == 1
         assert one[0].value == default_hits[0].value
 
+    @pytest.mark.parametrize("max_den", [10, 600, 10**6])
+    def test_hits_come_in_mirror_pairs(self, max_den):
+        # (p2, p1) is the x <-> y mirror of (p1, p2), the same cycle reversed:
+        # v1, v0, v4, v3, v2 with x and y swapped.  Up to max_den 10^6 the
+        # snapped states mirror too; above that they follow the aim's last
+        # float bits, so larger bounds are left out.
+        def mirror(v):
+            return Vec3Q(v.y, v.x, v.z)
+
+        hits = {h.params: h for h in search(24, max_den, 1000)}
+        assert hits
+        for (p1, p2), hit in hits.items():
+            partner = hits[(p2, p1)]
+            assert partner.value == hit.value
+            assert partner.scenario.state.v == mirror(hit.scenario.state.v)
+            vs = [u.v for u in hit.scenario.vectors]
+            assert [u.v for u in partner.scenario.vectors] == [
+                mirror(vs[i]) for i in (1, 0, 4, 3, 2)
+            ]
+
     def test_empty_result_is_legal(self):
         assert search(max_mn=2, max_den=50, top_k=3) == []
 
