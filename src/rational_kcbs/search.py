@@ -13,7 +13,16 @@ The construction works entirely on rational points of the unit sphere:
   orthogonalities hold by placement; the cross product supplies the
   remaining two.  One integer test decides closure, and ``search`` applies
   it to the triples before it builds any Fraction, so only closing pairs
-  reach ``build_pentagon``.
+  reach ``build_pentagon``.  The test is symmetric in the two triples, so
+  ``search`` tests each unordered pair once.
+* The family always puts a triple's even leg 2mn on the x (or y) axis.
+  The three other orders of the two legs give other pentagons, which close
+  more pairs; they are not searched.
+* The pair (p2, p1) gives the x <-> y mirror of the pentagon of (p1, p2),
+  the same cycle reversed.  ``search`` aims, snaps and evaluates only
+  (p1, p2) with p1 <= p2 and derives the mirror hit from it: directions
+  (v1, v0, v4, v3, v2) and the state, each with x and y swapped, at the
+  same exact value.  The derived hit is checked again exactly.
 * For each surviving pentagon, the optimal state is aimed numerically.
   Adjacent projectors of a valid cycle are orthogonal, so the cycle
   operator is  sum_i A_i A_{i+1} = n*I - 4*G  with the 3x3 Gram matrix
@@ -51,8 +60,8 @@ from .hv_models import is_violation
 from .linalg3 import E_X, E_Y, Vec3Q
 
 EIGEN_RESIDUAL_TOL = 1e-12
-# Largest max_mn of a search: it scans every ordered pair of the about
-# 0.2 * max_mn^2 parameters, about 4e6 pairs here.
+# Largest max_mn of a search: it scans every unordered pair of the about
+# 0.2 * max_mn^2 parameters, about 2e6 pairs here.
 MAX_MN = 100
 
 
@@ -248,6 +257,21 @@ def primitive_params(max_mn: int) -> list[CircleParams]:
     ]
 
 
+def _swap_xy(u: UnitVectorQ) -> UnitVectorQ:
+    return UnitVectorQ(Vec3Q(u.v.y, u.v.x, u.v.z))
+
+
+def _mirrored(scenario: CycleScenario) -> CycleScenario:
+    """The scenario of ``build_pentagon(p2, p1)`` with the mirrored state,
+    from that of ``build_pentagon(p1, p2)``.  A reflection and a reversal of
+    the cycle keep the exact value; the unit and adjacency checks run
+    again."""
+    vectors = scenario.vectors
+    return CycleScenario(
+        _swap_xy(scenario.state), tuple(_swap_xy(vectors[k]) for k in (1, 0, 4, 3, 2))
+    )
+
+
 @dataclass(frozen=True)
 class SearchHit:
     """A rational configuration whose exact cycle sum violates the bound."""
@@ -267,7 +291,12 @@ def search(max_mn: int, max_den: int, top_k: int) -> list[SearchHit]:
     rationally-closable ones, rationalize each pentagon's optimal state with
     plane denominators <= max_den, and return up to top_k exact violations,
     most negative first (ties in params order).  An empty list is a valid
-    result.  Raises ValueError for a non-positive bound or max_mn > MAX_MN."""
+    result.  Raises ValueError for a non-positive bound or max_mn > MAX_MN.
+
+    Each unordered pair (p1 <= p2) is tested and evaluated once, and the hit
+    (p2, p1) is derived from it.  The diagonal (p, p) is scanned too but
+    never closes: 2(m^4 + n^4) would have to be a square, and
+    x^4 + y^4 = 2z^2 has only trivial solutions."""
     if max_mn < 1 or max_den < 1 or top_k < 1:
         raise ValueError("search bounds must be positive")
     if max_mn > MAX_MN:
@@ -275,22 +304,18 @@ def search(max_mn: int, max_den: int, top_k: int) -> list[SearchHit]:
     params = primitive_params(max_mn)
     triples = [circle_triple(p) for p in params]
     hits: list[SearchHit] = []
-    for p1, t1 in zip(params, triples):
-        for p2, t2 in zip(params, triples):
+    for i, (p1, t1) in enumerate(zip(params, triples)):
+        for p2, t2 in zip(params[i:], triples[i:]):
             if _closing_cross(t1, t2) is None:
                 continue
             pentagon = build_pentagon(p1, p2)
             vec, _lam = optimal_state_numeric(pentagon)
             scenario = CycleScenario(rationalize_state(vec, max_den), tuple(pentagon))
             value = kcbs_value(scenario)
-            if is_violation(value, scenario.n):
-                hits.append(
-                    SearchHit(
-                        scenario=scenario,
-                        value=value,
-                        params=(p1, p2),
-                        state_denominator_bound=max_den,
-                    )
-                )
+            if not is_violation(value, scenario.n):
+                continue
+            hits.append(SearchHit(scenario, value, (p1, p2), max_den))
+            if p1 != p2:
+                hits.append(SearchHit(_mirrored(scenario), value, (p2, p1), max_den))
     hits.sort(key=lambda h: (h.value, h.params))
     return hits[:top_k]

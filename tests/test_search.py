@@ -576,7 +576,7 @@ class TestSearch:
             search(*args)
 
     def test_rejects_max_mn_over_limit(self):
-        # refused before the O(max_mn^4) pair scan starts
+        # refused before the scan of the O(max_mn^4) unordered pairs starts
         with pytest.raises(ValueError, match="max_mn"):
             search(MAX_MN + 1, 10, 1)
 
@@ -592,6 +592,14 @@ def closable_pairs(max_mn):
     ]
 
 
+def counted(calls, name, fn):
+    """fn, adding one to calls[name] per call."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 class TestClosurePrefilter:
     def test_integer_test_agrees_with_build_pentagon(self):
         params = primitive_params(14)  # 12 holds no closing pair
@@ -603,18 +611,39 @@ class TestClosurePrefilter:
                 assert closes == (build_pentagon(p1, p2) is not None), (p1, p2)
         assert 0 < closing < len(params) ** 2
 
+    def test_closure_is_symmetric(self):
+        # (a1 b2)^2 + (b1 a2)^2 + (b1 b2)^2 is symmetric in the two triples,
+        # which is why search tests each unordered pair once
+        triples = [circle_triple(p) for p in primitive_params(40)]
+        closing = 0
+        for t1, t2 in itertools.product(triples, repeat=2):
+            forward, backward = _closing_cross(t1, t2), _closing_cross(t2, t1)
+            assert (forward is None) == (backward is None), (t1, t2)
+            if forward is not None:
+                closing += 1
+                (x, y, z), root = forward
+                assert backward == ((y, x, z), root)
+        assert closing == 38  # as perfbench/checker.py counts them
+
+    def test_diagonal_never_closes(self):
+        # closure of (p, p) needs 2(m^4 + n^4) to be a square, and
+        # x^4 + y^4 = 2z^2 has only trivial solutions
+        for p in primitive_params(MAX_MN):
+            t = circle_triple(p)
+            assert _closing_cross(t, t) is None, p
+
     def test_search_builds_only_closable_pairs(self, monkeypatch):
-        expected = len(closable_pairs(14))
-        calls = []
-        original = search_module.build_pentagon
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(search_module, "build_pentagon", counting)
-        search(max_mn=14, max_den=600, top_k=5)
-        assert len(calls) == expected < len(primitive_params(14)) ** 2
+        # each unordered closing pair is built, aimed and evaluated once;
+        # its mirror hit is derived, not built
+        ordered = len(closable_pairs(24))
+        names = ("build_pentagon", "optimal_state_numeric", "kcbs_value")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(search_module, name, counted(calls, name, getattr(search_module, name)))
+        hits = search(max_mn=24, max_den=600, top_k=1000)
+        assert ordered % 2 == 0 and 0 < ordered < len(primitive_params(24)) ** 2
+        assert calls == dict.fromkeys(names, ordered // 2)
+        assert len(hits) == ordered
 
     def test_search_checks_each_closed_pentagon_once(self, monkeypatch):
         contextuality = importlib.import_module("rational_kcbs.contextuality")
@@ -625,14 +654,8 @@ class TestClosurePrefilter:
             calls["norm"] += u is w  # a unit check dots a vector's ints with themselves
             return int_dot(u, w)
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         for name in ("check_cycle_vectors", "validate_cycle"):
-            wrapper = counted(name, getattr(contextuality, name))
+            wrapper = counted(calls, name, getattr(contextuality, name))
             for module in (contextuality, search_module):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapper)
@@ -645,31 +668,40 @@ class TestClosurePrefilter:
             return closed[-1]
 
         monkeypatch.setattr(search_module, "build_pentagon", recording)
-        search(20, 10**6, 10)
-        # per closed pentagon: its five directions and the lifted state are
-        # each checked for unit norm once; the aim and the scenario each
-        # check the cycle's adjacency once
+        hits = search(24, 10**6, 1000)
+        # per unordered closing pair: its five directions and the lifted
+        # state are each checked for unit norm once, and so are the mirror's;
+        # the aim, the scenario and the mirror's scenario each check the
+        # cycle's adjacency once.  Every closing pair violates here, so each
+        # build gives two hits.
         assert closed and None not in closed
-        assert 5 * len(closed) < calls["norm"] <= 6 * len(closed)
-        assert calls["check_cycle_vectors"] <= 2 * len(closed)
+        assert len(hits) == 2 * len(closed)
+        assert calls["norm"] == 6 * len(hits)
+        assert calls["check_cycle_vectors"] == 3 * len(closed)
         assert calls["validate_cycle"] == 0
 
     def test_search_matches_brute_force(self):
-        # The search pipeline run on every closable pair found by
-        # build_pentagon alone: the integer prefilter must drop no pair.
-        max_den = 600
-        expected = []
-        for p1, p2, pentagon in closable_pairs(20):
-            vec, _lam = optimal_state_numeric(pentagon)
-            state = rationalize_state(vec, max_den)
-            scenario = validate_cycle(state.v, [u.v for u in pentagon])
-            value = kcbs_value(scenario)
-            if is_violation(value, scenario.n):
-                expected.append((value, (p1, p2), scenario))
-        expected.sort(key=lambda e: (e[0], e[1][0].m, e[1][0].n, e[1][1].m, e[1][1].n))
-        hits = search(max_mn=20, max_den=max_den, top_k=1000)
-        assert 0 < len(expected) < 1000
-        assert [(h.value, h.params, h.scenario) for h in hits] == expected
+        # The search pipeline run on every ordered closable pair found by
+        # build_pentagon alone, each aimed and snapped on its own: the
+        # integer prefilter must drop no pair, and every mirror-derived hit
+        # must equal the one its own pair gives.  max_mn 24 is the benchmark's
+        # largest request; 50 and 2712 are log-uniform draws from [10, 10^6].
+        aimed = [
+            (p1, p2, pentagon, optimal_state_numeric(pentagon)[0])
+            for p1, p2, pentagon in closable_pairs(24)
+        ]
+        for max_den in (10, 50, 600, 2712, 10**6):
+            expected = []
+            for p1, p2, pentagon, vec in aimed:
+                state = rationalize_state(vec, max_den)
+                scenario = validate_cycle(state.v, [u.v for u in pentagon])
+                value = kcbs_value(scenario)
+                if is_violation(value, scenario.n):
+                    expected.append((value, (p1, p2), scenario))
+            expected.sort(key=lambda e: (e[0], e[1][0].m, e[1][0].n, e[1][1].m, e[1][1].n))
+            hits = search(max_mn=24, max_den=max_den, top_k=1000)
+            assert 0 < len(expected) < 1000
+            assert [(h.value, h.params, h.scenario) for h in hits] == expected, max_den
 
 
 def test_search_hit_requires_violation():
