@@ -20,7 +20,6 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Any
 
 from .contextuality import (
     CycleScenario,
@@ -47,7 +46,7 @@ class ConfigError(ValueError):
     """A config file has the wrong shape or a malformed fraction string."""
 
 
-def _parse_triple(raw: Any, what: str) -> Vec3Q:
+def _parse_triple(raw: object, what: str) -> Vec3Q:
     if not isinstance(raw, list) or len(raw) != 3 or not all(isinstance(c, str) for c in raw):
         raise ConfigError(f"{what} must be a list of 3 fraction strings, got {raw!r}")
     try:
@@ -56,8 +55,8 @@ def _parse_triple(raw: Any, what: str) -> Vec3Q:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _object_once(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    data: dict[str, Any] = {}
+def _object_once(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    data: dict[str, object] = {}
     for key, value in pairs:
         if key in data:
             raise ConfigError(f"config JSON repeats the key {json.dumps(key)}")
@@ -138,7 +137,7 @@ def build_report(s: CycleScenario, digits: int) -> dict:
     }
 
 
-def _emit(payload: Any) -> None:
+def _emit(payload: object) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
@@ -161,7 +160,7 @@ def _load_scenario(path: str) -> CycleScenario | None:
     try:
         return validate_cycle(state, vectors)
     except CycleValidationError as exc:
-        payload: dict[str, Any] = {"valid": False, "invariant": exc.reason, "message": str(exc)}
+        payload: dict[str, object] = {"valid": False, "invariant": exc.reason, "message": str(exc)}
         if exc.index is not None:
             payload["index"] = exc.index
         if exc.pair is not None:

@@ -25,11 +25,11 @@ Agreement of the two routes is an end-to-end check; the first is primary.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Sequence
 
 from .linalg3 import (
     E_X,

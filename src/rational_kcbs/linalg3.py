@@ -21,10 +21,10 @@ The cross product is right-handed: ``cross(E_X, E_Y) == E_Z``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 RationalLike = Fraction | int
 

@@ -11,16 +11,17 @@ The construction works entirely on rational points of the unit sphere:
   has a perfect-square squared length; v3 is then that integer vector over
   its integer length.  Four of the five
   orthogonalities hold by placement; the cross product supplies the
-  remaining two.  One integer test decides closure, and ``search`` applies
-  it to the triples before it builds any Fraction, so only closing pairs
-  reach ``build_pentagon``.  The test is symmetric in the two triples, so
-  ``search`` tests each unordered pair once.
+  remaining two.  One generator, ``_closing_pairs``, decides closure on
+  the integer triples before any Fraction is built, so only closing pairs
+  reach ``build_pentagon``.  The test is symmetric in the two triples and
+  never holds for a triple with itself, so the generator tests each pair
+  of distinct parameters once.
 * The family always puts a triple's even leg 2mn on the x (or y) axis.
   The three other orders of the two legs give other pentagons, which close
   more pairs; they are not searched.
 * The pair (p2, p1) gives the x <-> y mirror of the pentagon of (p1, p2),
   the same cycle reversed.  ``search`` aims, snaps and evaluates only
-  (p1, p2) with p1 <= p2 and derives the mirror hit from it: directions
+  (p1, p2) with p1 < p2 and derives the mirror hit from it: directions
   (v1, v0, v4, v3, v2) and the state, each with x and y swapped, at the
   same exact value.  The derived hit is checked again exactly.
 * For each surviving pentagon, the optimal state is aimed numerically.
@@ -46,9 +47,9 @@ where to aim; every accepted result is an exact rational certificate.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .contextuality import (
     CycleScenario,
@@ -60,8 +61,8 @@ from .hv_models import is_violation
 from .linalg3 import E_X, E_Y, Vec3Q
 
 EIGEN_RESIDUAL_TOL = 1e-12
-# Largest max_mn of a search: it scans every unordered pair of the about
-# 0.2 * max_mn^2 parameters, about 2e6 pairs here.
+# Largest max_mn of a search: it tests every pair of distinct parameters
+# among the about 0.2 * max_mn^2, about 2e6 pairs here.
 MAX_MN = 100
 
 
@@ -91,27 +92,30 @@ def circle_triple(p: CircleParams) -> tuple[int, int, int]:
     return (p.m * p.m - p.n * p.n, 2 * p.m * p.n, p.m * p.m + p.n * p.n)
 
 
-def _closing_cross(
-    t1: tuple[int, int, int], t2: tuple[int, int, int]
-) -> tuple[tuple[int, int, int], int] | None:
-    """Decide on integers alone whether ``build_pentagon`` closes the pair
-    with these circle triples: the one place pentagon closure is decided.
+def _closing_pairs(
+    triples: Sequence[tuple[int, int, int]],
+) -> Iterator[tuple[int, int, tuple[int, int, int], int]]:
+    """Yield (i, j, (x, y, z), root) for every i < j whose circle triples
+    ``build_pentagon`` closes, in lexicographic order: the one place
+    pentagon closure is decided.
 
     For v2 = (b1, 0, z1)/h1 and v4 = (0, b2, z2)/h2 from the triples
     (a, b, h), h1*h2*cross(v2, v4) is the integer vector
     (-z1*b2, -b1*z2, b1*b2), i.e. (a1*b2, b1*a2, b1*b2) at z = -a.
     cross(v2, v4) normalized is rational exactly when that vector's squared
-    length is a perfect square; then the vector and its integer length are
-    returned, else None.
+    length is a perfect square root^2.  The test is symmetric in the two
+    triples, and a triple never closes with itself (2(m^4 + n^4) would have
+    to be a square, and x^4 + y^4 = 2z^2 has only trivial solutions), so
+    each unordered pair of distinct indices is tested once.
     """
-    a1, b1, _ = t1
-    a2, b2, _ = t2
-    x, y, z = a1 * b2, b1 * a2, b1 * b2
-    length_sq = x * x + y * y + z * z
-    root = math.isqrt(length_sq)
-    if root * root != length_sq:
-        return None
-    return (x, y, z), root
+    for i, (a1, b1, _) in enumerate(triples):
+        for j in range(i + 1, len(triples)):
+            a2, b2, _ = triples[j]
+            x, y, z = a1 * b2, b1 * a2, b1 * b2
+            length_sq = x * x + y * y + z * z
+            root = math.isqrt(length_sq)
+            if root * root == length_sq:
+                yield i, j, (x, y, z), root
 
 
 def build_pentagon(p1: CircleParams, p2: CircleParams) -> list[UnitVectorQ] | None:
@@ -124,10 +128,10 @@ def build_pentagon(p1: CircleParams, p2: CircleParams) -> list[UnitVectorQ] | No
     returned list passes ``check_cycle_vectors``.
     """
     t1, t2 = circle_triple(p1), circle_triple(p2)
-    closing = _closing_cross(t1, t2)
+    closing = next(_closing_pairs((t1, t2)), None)
     if closing is None:
         return None
-    (x, y, z), root = closing
+    _, _, (x, y, z), root = closing
     odd1, even1, hyp1 = t1
     odd2, even2, hyp2 = t2
     v2 = UnitVectorQ(Vec3Q(Fraction(even1, hyp1), Fraction(0), Fraction(-odd1, hyp1)))
@@ -293,29 +297,23 @@ def search(max_mn: int, max_den: int, top_k: int) -> list[SearchHit]:
     most negative first (ties in params order).  An empty list is a valid
     result.  Raises ValueError for a non-positive bound or max_mn > MAX_MN.
 
-    Each unordered pair (p1 <= p2) is tested and evaluated once, and the hit
-    (p2, p1) is derived from it.  The diagonal (p, p) is scanned too but
-    never closes: 2(m^4 + n^4) would have to be a square, and
-    x^4 + y^4 = 2z^2 has only trivial solutions."""
+    Each closing pair p1 < p2 that ``_closing_pairs`` yields is built and
+    evaluated once, and the hit (p2, p1) is derived from it.  No pair
+    (p, p) is tested: it never closes."""
     if max_mn < 1 or max_den < 1 or top_k < 1:
         raise ValueError("search bounds must be positive")
     if max_mn > MAX_MN:
         raise ValueError(f"max_mn is limited to {MAX_MN}, got {max_mn}")
     params = primitive_params(max_mn)
-    triples = [circle_triple(p) for p in params]
     hits: list[SearchHit] = []
-    for i, (p1, t1) in enumerate(zip(params, triples)):
-        for p2, t2 in zip(params[i:], triples[i:]):
-            if _closing_cross(t1, t2) is None:
-                continue
-            pentagon = build_pentagon(p1, p2)
-            vec, _lam = optimal_state_numeric(pentagon)
-            scenario = CycleScenario(rationalize_state(vec, max_den), tuple(pentagon))
-            value = kcbs_value(scenario)
-            if not is_violation(value, scenario.n):
-                continue
+    for i, j, _, _ in _closing_pairs([circle_triple(p) for p in params]):
+        p1, p2 = params[i], params[j]
+        pentagon = build_pentagon(p1, p2)
+        vec, _lam = optimal_state_numeric(pentagon)
+        scenario = CycleScenario(rationalize_state(vec, max_den), tuple(pentagon))
+        value = kcbs_value(scenario)
+        if is_violation(value, scenario.n):
             hits.append(SearchHit(scenario, value, (p1, p2), max_den))
-            if p1 != p2:
-                hits.append(SearchHit(_mirrored(scenario), value, (p2, p1), max_den))
+            hits.append(SearchHit(_mirrored(scenario), value, (p2, p1), max_den))
     hits.sort(key=lambda h: (h.value, h.params))
     return hits[:top_k]

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import rational_kcbs
 
@@ -28,3 +32,13 @@ def test_exports_are_exactly_the_public_surface():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert names == EXPORTS
+
+
+def test_cli_imports_no_typing():
+    # annotations are strings and abstract types come from collections.abc,
+    # so the command line never pays for importing typing; -S keeps site
+    # hooks from importing it first
+    src = Path(rational_kcbs.__file__).resolve().parents[1]
+    code = "import sys, rational_kcbs.cli; sys.exit('typing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-S", "-c", code], env=env).returncode == 0

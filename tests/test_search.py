@@ -26,7 +26,7 @@ from rational_kcbs.search import (
     MAX_MN,
     CircleParams,
     SearchHit,
-    _closing_cross,
+    _closing_pairs,
     best_rational_approx,
     build_pentagon,
     circle_triple,
@@ -600,37 +600,70 @@ def counted(calls, name, fn):
     return wrapper
 
 
+def closing_cross(t1, t2):
+    """What _closing_pairs yields for the two triples: (x, y, z), root, or
+    None."""
+    found = list(_closing_pairs((t1, t2)))
+    assert len(found) <= 1 and all(f[:2] == (0, 1) for f in found)
+    return found[0][2:] if found else None
+
+
 class TestClosurePrefilter:
     def test_integer_test_agrees_with_build_pentagon(self):
         params = primitive_params(14)  # 12 holds no closing pair
         closing = 0
         for p1 in params:
             for p2 in params:
-                closes = _closing_cross(circle_triple(p1), circle_triple(p2)) is not None
+                closes = closing_cross(circle_triple(p1), circle_triple(p2)) is not None
                 closing += closes
                 assert closes == (build_pentagon(p1, p2) is not None), (p1, p2)
         assert 0 < closing < len(params) ** 2
 
     def test_closure_is_symmetric(self):
         # (a1 b2)^2 + (b1 a2)^2 + (b1 b2)^2 is symmetric in the two triples,
-        # which is why search tests each unordered pair once
+        # which is why the scan tests each unordered pair once
         triples = [circle_triple(p) for p in primitive_params(40)]
         closing = 0
         for t1, t2 in itertools.product(triples, repeat=2):
-            forward, backward = _closing_cross(t1, t2), _closing_cross(t2, t1)
+            forward, backward = closing_cross(t1, t2), closing_cross(t2, t1)
             assert (forward is None) == (backward is None), (t1, t2)
             if forward is not None:
                 closing += 1
                 (x, y, z), root = forward
                 assert backward == ((y, x, z), root)
-        assert closing == 38  # as perfbench/checker.py counts them
+        assert closing == 38  # ordered pairs, as perfbench/checker.py counts them
 
     def test_diagonal_never_closes(self):
         # closure of (p, p) needs 2(m^4 + n^4) to be a square, and
-        # x^4 + y^4 = 2z^2 has only trivial solutions
+        # x^4 + y^4 = 2z^2 has only trivial solutions; this is why the scan
+        # starts at j = i + 1
         for p in primitive_params(MAX_MN):
             t = circle_triple(p)
-            assert _closing_cross(t, t) is None, p
+            assert list(_closing_pairs((t, t))) == [], p
+
+    def test_closing_pairs_match_fraction_cross(self):
+        # oracle: the i < j pairs whose exact cross(v2, v4) has a rational
+        # length, with v2 and v4 built from the triples as Fractions
+        params = primitive_params(30)
+        triples = [circle_triple(p) for p in params]
+        expected = []
+        for i, j in itertools.combinations(range(len(params)), 2):  # lexicographic
+            (a1, b1, h1), (a2, b2, h2) = triples[i], triples[j]
+            w = cross(Vec3Q(Fraction(b1, h1), 0, Fraction(-a1, h1)), Vec3Q(0, Fraction(b2, h2), Fraction(-a2, h2)))
+            length_sq = norm_sq(w)
+            num, den = math.isqrt(length_sq.numerator), math.isqrt(length_sq.denominator)
+            if Fraction(num, den) ** 2 == length_sq:
+                expected.append((i, j, Vec3Q(*(c * Fraction(den, num) for c in w.as_tuple()))))
+        found = list(_closing_pairs(triples))
+        assert [(i, j) for i, j, _, _ in found] == [(i, j) for i, j, _ in expected]
+        # an adjacent pair closes, so the scan must start at j = i + 1
+        adjacent = (params.index(CircleParams(29, 22)), params.index(CircleParams(29, 24)))
+        assert adjacent[1] == adjacent[0] + 1 and adjacent in [(i, j) for i, j, _ in expected]
+        for (i, j, (x, y, z), root), (_, _, unit) in zip(found, expected):
+            v3 = Vec3Q(Fraction(x, root), Fraction(y, root), Fraction(z, root))
+            assert v3 == unit == build_pentagon(params[i], params[j])[3].v, (i, j)
+        t = triples[0]
+        assert [list(_closing_pairs(ts)) for ts in ([], [t], [t, t])] == [[], [], []]
 
     def test_search_builds_only_closable_pairs(self, monkeypatch):
         # each unordered closing pair is built, aimed and evaluated once;
