@@ -6,7 +6,7 @@ sum of adjacent products.  ``classical_min_cycle`` certifies the minimum over
 all 2^n assignments with a min-plus pass that keeps two running minima per
 step, the least suffix sum given a_i = -1 and given a_i = +1: every
 assignment is a path through those minima, so the result is exhaustive, in
-O(n) integer work.  The closed form -(n - 2) for odd n is asserted
+O(n) integer work.  The closed form -(n - 2) for odd n is checked
 afterwards as a cross-check, never assumed.
 Probabilistic (mixed) models need no separate treatment: the cycle sum is
 linear in the outcome distribution, so its minimum over the convex hull of
@@ -43,7 +43,8 @@ def classical_min_cycle(n: int) -> tuple[int, Assignment]:
     the witness is then read front to back, taking -1 whenever it still
     reaches that minimum.
 
-    Raises TypeError for a non-int n, ValueError for even n or n < 3.
+    Raises TypeError for a non-int n, ValueError for even n or n < 3, and
+    ArithmeticError should the pass miss the closed form -(n - 2).
     """
     if not isinstance(n, int):
         raise TypeError(f"cycle length must be an int, got {n!r}")
@@ -64,7 +65,8 @@ def classical_min_cycle(n: int) -> tuple[int, Assignment]:
         outcomes.append(pick)
     # For odd n the number of disagreeing adjacent pairs is always even, so
     # the certified minimum must land exactly on -(n - 2).
-    assert lows[0] == -(n - 2), f"min-plus pass found {lows[0]}, expected {-(n - 2)}"
+    if lows[0] != -(n - 2):
+        raise ArithmeticError(f"min-plus pass found {lows[0]}, expected {-(n - 2)}")
     return lows[0], Assignment(outcomes)
 
 

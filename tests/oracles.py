@@ -2,10 +2,13 @@
 observables 2 v v^T - I, the Gram matrix, the cycle operator and its
 quadratic form, the z-mirrored pentagons and the stereographic chart.  They
 share nothing with the program's integer matrix kernel; tests check its
-routes against them."""
+routes against them.  ``closing_pairs_scan`` is the plain all-pairs closure
+scan, without the class rule of ``search._closing_pairs``."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -90,3 +93,21 @@ def cycle_operator(vectors: Sequence[UnitVectorQ]) -> Rows:
     check_cycle_vectors(vectors)
     mats = [observable_rows(u.v) for u in vectors]
     return ref_sum([ref_mul(a, b) for a, b in zip(mats, mats[1:] + mats[:1])])
+
+
+def closing_pairs_scan(
+    triples: Sequence[tuple[int, int, int]],
+) -> list[tuple[int, int, tuple[int, int, int], int]]:
+    """Every (i, j, (x, y, z), root) with i < j, in lexicographic order, whose
+    cross vector (x, y, z) = (a1 b2, b1 a2, b1 b2) of the triples (a, b, h)
+    has a perfect-square squared length root^2: every pair tested, no pair
+    skipped."""
+    found = []
+    for i, j in itertools.combinations(range(len(triples)), 2):
+        (a1, b1, _), (a2, b2, _) = triples[i], triples[j]
+        x, y, z = a1 * b2, b1 * a2, b1 * b2
+        length_sq = x * x + y * y + z * z
+        root = math.isqrt(length_sq)
+        if root * root == length_sq:
+            found.append((i, j, (x, y, z), root))
+    return found

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -42,3 +43,15 @@ def test_cli_imports_no_typing():
     code = "import sys, rational_kcbs.cli; sys.exit('typing' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     assert subprocess.run([sys.executable, "-S", "-c", code], env=env).returncode == 0
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so a runtime check written as one
+    # would vanish there; every check in the package raises explicitly
+    package = Path(rational_kcbs.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for module in modules:
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], (module.name, lines)

@@ -37,7 +37,15 @@ from rational_kcbs.search import (
     stereo_lift,
 )
 from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, rand_fraction
-from tests.oracles import IDENTITY_ROWS, cycle_operator, gram, ref_map, stereo_chart, z_flipped_pentagon
+from tests.oracles import (
+    IDENTITY_ROWS,
+    closing_pairs_scan,
+    cycle_operator,
+    gram,
+    ref_map,
+    stereo_chart,
+    z_flipped_pentagon,
+)
 
 # the package's ``search`` attribute is the function, so fetch the module itself
 search_module = importlib.import_module("rational_kcbs.search")
@@ -635,11 +643,12 @@ class TestClosurePrefilter:
 
     def test_diagonal_never_closes(self):
         # closure of (p, p) needs 2(m^4 + n^4) to be a square, and
-        # x^4 + y^4 = 2z^2 has only trivial solutions; this is why the scan
-        # starts at j = i + 1
+        # x^4 + y^4 = 2z^2 has only trivial solutions; the plain scan checks
+        # that fact, and _closing_pairs never tests such a pair, since a
+        # triple shares its own class (v2(b), v3(b))
         for p in primitive_params(MAX_MN):
             t = circle_triple(p)
-            assert list(_closing_pairs((t, t))) == [], p
+            assert list(_closing_pairs((t, t))) == closing_pairs_scan((t, t)) == [], p
 
     def test_closing_pairs_match_fraction_cross(self):
         # oracle: the i < j pairs whose exact cross(v2, v4) has a rational
@@ -656,7 +665,7 @@ class TestClosurePrefilter:
                 expected.append((i, j, Vec3Q(*(c * Fraction(den, num) for c in w.as_tuple()))))
         found = list(_closing_pairs(triples))
         assert [(i, j) for i, j, _, _ in found] == [(i, j) for i, j, _ in expected]
-        # an adjacent pair closes, so the scan must start at j = i + 1
+        # an adjacent pair closes, so the scan may skip no neighbour
         adjacent = (params.index(CircleParams(29, 22)), params.index(CircleParams(29, 24)))
         assert adjacent[1] == adjacent[0] + 1 and adjacent in [(i, j) for i, j, _ in expected]
         for (i, j, (x, y, z), root), (_, _, unit) in zip(found, expected):
@@ -664,6 +673,19 @@ class TestClosurePrefilter:
             assert v3 == unit == build_pentagon(params[i], params[j])[3].v, (i, j)
         t = triples[0]
         assert [list(_closing_pairs(ts)) for ts in ([], [t], [t, t])] == [[], [], []]
+
+    @pytest.mark.parametrize(
+        "max_mn, closing", [(1, 0), (2, 0), (3, 0), (6, 0), (12, 0), (24, 7), (50, 24), (MAX_MN, 57)]
+    )
+    def test_closing_pairs_match_plain_scan(self, max_mn, closing):
+        # The independent oracle of the class rule: closable_pairs and
+        # test_search_matches_brute_force reach closure through
+        # build_pentagon, which decides it with _closing_pairs and so skips
+        # the same pairs.  This scan tests every pair of distinct triples.
+        triples = [circle_triple(p) for p in primitive_params(max_mn)]
+        expected = closing_pairs_scan(triples)
+        assert len(expected) == closing
+        assert list(_closing_pairs(triples)) == expected
 
     def test_search_builds_only_closable_pairs(self, monkeypatch):
         # each unordered closing pair is built, aimed and evaluated once;
@@ -715,9 +737,11 @@ class TestClosurePrefilter:
 
     def test_search_matches_brute_force(self):
         # The search pipeline run on every ordered closable pair found by
-        # build_pentagon alone, each aimed and snapped on its own: the
-        # integer prefilter must drop no pair, and every mirror-derived hit
-        # must equal the one its own pair gives.  max_mn 24 is the benchmark's
+        # build_pentagon alone, each aimed and snapped on its own: every
+        # mirror-derived hit must equal the one its own pair gives.
+        # build_pentagon decides closure with _closing_pairs too, so the
+        # class rule's independent oracle is
+        # test_closing_pairs_match_plain_scan.  max_mn 24 is the benchmark's
         # largest request; 50 and 2712 are log-uniform draws from [10, 10^6].
         aimed = [
             (p1, p2, pentagon, optimal_state_numeric(pentagon)[0])
