@@ -16,7 +16,8 @@ identical.  Norm and adjacency checks are integer dot products.
 Two independent evaluation routes are provided on purpose: ``kcbs_value``
 sums ``(A_i psi) . (A_{i+1} psi)``, exact because every A_i is symmetric and
 free of any orthogonality assumption; a scenario computes each A_i psi once,
-as ints over one denominator, so each correlator is one integer dot product.
+as ints over one denominator, so each correlator is one integer dot product
+and the sum is those products over the lcm of their denominators.
 ``kcbs_value_via_projections`` uses the orthogonal-pair identity
 ``<A_i A_{i+1}> = 1 - 2<P_i> - 2<P_{i+1}>`` with ``<P_i> = (v_i . psi)^2``,
 from dot products alone, on integers it derives itself from the components.
@@ -195,8 +196,19 @@ def correlator(s: CycleScenario, i: int) -> Fraction:
 
 
 def kcbs_value(s: CycleScenario) -> Fraction:
-    """Exact cycle correlation sum  sum_i <A_i A_{i+1}>  (indices mod n)."""
-    return sum(correlator(s, i) for i in range(s.n))
+    """Exact cycle correlation sum  sum_i <A_i A_{i+1}>  (indices mod n).
+
+    Each correlator is the integer dot product t_i of the cached A_i psi and
+    A_{i+1} psi over d_i = du * dw; with L = lcm(d_i) the sum is
+    sum_i t_i (L / d_i) / L, one Fraction.
+    """
+    images = s._images
+    terms = [
+        (_int_dot(u, w), du * dw)
+        for (u, du), (w, dw) in zip(images, images[1:] + images[:1])
+    ]
+    big = lcm(*[den for _, den in terms])
+    return Fraction(sum([t * (big // den) for t, den in terms]), big)
 
 
 def kcbs_value_via_projections(s: CycleScenario) -> Fraction:

@@ -67,7 +67,7 @@ def _fill(m: "Mat3Q", num: tuple[int, ...], den: int) -> "Mat3Q":
     """Set m to num / den (nine row-major ints, den > 0) in lowest terms."""
     g = gcd(den, *num)
     if g != 1:
-        num = tuple(e // g for e in num)
+        num = tuple([e // g for e in num])
         den //= g
     object.__setattr__(m, "_num", num)
     object.__setattr__(m, "_den", den)
@@ -80,8 +80,8 @@ def _mat(num: tuple[int, ...], den: int) -> "Mat3Q":
 
 def _ints(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """values as ints over their least common denominator."""
-    den = lcm(*(c.denominator for c in values))
-    return tuple(c.numerator * (den // c.denominator) for c in values), den
+    den = lcm(*[c.denominator for c in values])
+    return tuple([c.numerator * (den // c.denominator) for c in values]), den
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)

@@ -13,12 +13,14 @@ The construction works entirely on rational points of the unit sphere:
   orthogonalities hold by placement; the cross product supplies the
   remaining two.  One generator, ``_closing_pairs``, decides closure on
   the integer triples before any Fraction is built, so only closing pairs
-  reach ``build_pentagon``.  The test is symmetric in the two triples, and
-  a closing pair gives a Pythagorean triple (a1*b2, b1*h2, root) that must
-  reduce to a primitive one.  So the generator tests each pair of distinct
-  parameters at most once, and only when the powers of 2 in their even
-  legs differ by at least 2 and the legs do not hold the same nonzero
-  power of 3: about 28% of all pairs at ``MAX_MN``.
+  reach ``build_pentagon``; ``search`` scans plain (m, n) ints and builds
+  the two ``CircleParams`` of a pair only when it closes.  The test is
+  symmetric in the two triples, and a closing pair gives a Pythagorean
+  triple (a1*b2, b1*h2, root) that must reduce to a primitive one.  So
+  the generator tests each pair of distinct parameters at most once, and
+  only when the powers of 2 in their even legs differ by at least 2 and
+  the legs do not hold the same nonzero power of 3: about 28% of all pairs
+  at ``MAX_MN``.
 * The family always puts a triple's even leg 2mn on the x (or y) axis.
   The three other orders of the two legs give other pentagons, which close
   more pairs; they are not searched.
@@ -26,19 +28,22 @@ The construction works entirely on rational points of the unit sphere:
   the same cycle reversed.  ``search`` aims, snaps and evaluates only
   (p1, p2) with p1 < p2 and derives the mirror hit from it: directions
   (v1, v0, v4, v3, v2) and the state, each with x and y swapped, at the
-  same exact value.  The derived hit is checked again exactly.
+  same exact value.  The violations are sorted by (value, params) before
+  any hit is built, and the derived scenario is built, with its unit and
+  adjacency checks, for each returned mirror hit.
 * For each surviving pentagon, the optimal state is aimed numerically.
   Adjacent projectors of a valid cycle are orthogonal, so the cycle
   operator is  sum_i A_i A_{i+1} = n*I - 4*G  with the 3x3 Gram matrix
   G = sum_i v_i v_i^T, and the aim is the top eigenvector of the float G,
-  found by a fixed number of cyclic Jacobi sweeps (``optimal_state_numeric``):
-  one path for simple, close and repeated eigenvalues alike.  The aim is
-  then snapped back onto the rational sphere: project stereographically,
-  take best bounded-denominator approximations of the two plane
-  coordinates, and lift.  The lift of rational plane points is exactly
-  unit by construction, which is why rationalization goes through the
-  plane instead of rounding components and renormalizing (a rounded
-  3-vector almost never has a rational norm).
+  found by a fixed number of cyclic Jacobi sweeps on flat lists of nine
+  floats (``optimal_state_numeric``): one path for simple, close and
+  repeated eigenvalues alike.  The aim is then snapped back onto the
+  rational sphere: project stereographically, take best bounded-denominator
+  approximations of the two plane coordinates, and lift on integers.  The
+  lift of rational plane points is exactly unit by construction, which is
+  why rationalization goes through the plane instead of rounding
+  components and renormalizing (a rounded 3-vector almost never has a
+  rational norm).
 * The snapped state and the pentagon, both already typed as unit, form the
   scenario directly, and it is evaluated exactly; only exact values are
   reported.
@@ -91,9 +96,13 @@ class CircleParams:
             )
 
 
+def _triple(m: int, n: int) -> tuple[int, int, int]:
+    return (m * m - n * n, 2 * m * n, m * m + n * n)
+
+
 def circle_triple(p: CircleParams) -> tuple[int, int, int]:
     """The primitive Pythagorean triple (m^2 - n^2, 2mn, m^2 + n^2)."""
-    return (p.m * p.m - p.n * p.n, 2 * p.m * p.n, p.m * p.m + p.n * p.n)
+    return _triple(p.m, p.n)
 
 
 def _closing_pairs(
@@ -170,11 +179,21 @@ def build_pentagon(p1: CircleParams, p2: CircleParams) -> list[UnitVectorQ] | No
 def stereo_lift(p: Fraction | int, q: Fraction | int) -> UnitVectorQ:
     """Inverse stereographic projection from the plane through the north pole:
     (p, q) -> (2p, 2q, 1 - p^2 - q^2) / (1 + p^2 + q^2), exactly unit for any
-    rational inputs."""
-    p = Fraction(p)
-    q = Fraction(q)
-    scale = 1 + p * p + q * q
-    return UnitVectorQ(Vec3Q(2 * p / scale, 2 * q / scale, (1 - p * p - q * q) / scale))
+    rational inputs.
+
+    On integers: with p = a/b and q = c/e, scaling by (be)^2 gives
+    (2ae*be, 2cb*be, (be)^2 - (ae)^2 - (cb)^2) / S with
+    S = (be)^2 + (ae)^2 + (cb)^2, three Fractions.
+    """
+    p, q = Fraction(p), Fraction(q)
+    be = p.denominator * q.denominator
+    ae = p.numerator * q.denominator
+    cb = q.numerator * p.denominator
+    be_sq, ae_sq, cb_sq = be * be, ae * ae, cb * cb
+    scale = be_sq + ae_sq + cb_sq
+    return UnitVectorQ(Vec3Q(
+        Fraction(2 * ae * be, scale), Fraction(2 * cb * be, scale), Fraction(be_sq - ae_sq - cb_sq, scale)
+    ))
 
 
 def best_rational_approx(x: float | Fraction | int, max_den: int) -> Fraction:
@@ -198,6 +217,17 @@ def best_rational_approx(x: float | Fraction | int, max_den: int) -> Fraction:
 
 Float3 = tuple[float, float, float]
 
+# The planes (p, q) of the cyclic Jacobi sweep over a flat row-major 3x3:
+# the indices of entry (p, q) and of the diagonal entries (p, p) and (q, q),
+# the (p, q) column index pairs of each row, and the (p, q) row index pairs
+# of each column.
+_JACOBI_PLANES = tuple(
+    (3 * p + q, 4 * p, 4 * q,
+     tuple((3 * r + p, 3 * r + q) for r in range(3)),
+     tuple((3 * p + k, 3 * q + k) for k in range(3)))
+    for p, q in ((0, 1), (0, 2), (1, 2))
+)
+
 
 def _float_dot(u: Sequence[float], v: Sequence[float]) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
@@ -214,39 +244,44 @@ def optimal_state_numeric(vectors: Sequence[UnitVectorQ]) -> tuple[Float3, float
     number of cyclic Jacobi sweeps diagonalizes G by plane rotations, which
     needs no case analysis of repeated or close eigenvalues; u is the
     accumulated rotation's column at the largest diagonal entry (the first
-    one on a tie, so G = q*I gives e_x).  Raises ArithmeticError unless the
+    one on a tie, so G = q*I gives e_x).  The floats are each unit's ints
+    over its denominator, correctly rounded, and G and the rotation are
+    flat row-major lists of nine floats.  Raises ArithmeticError unless the
     pair solves n*I - 4*G to residual 1e-12.
     """
     check_cycle_vectors(vectors)
     n = len(vectors)
-    fv = [u.v.as_floats() for u in vectors]
-    g = [[math.fsum(v[j] * v[k] for v in fv) for k in range(3)] for j in range(3)]
-    a = [row[:] for row in g]
-    rot = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    coords = list(zip(*[[c / u._den for c in u._num] for u in vectors]))  # all x, all y, all z
+    g = [0.0] * 9
+    for j, k in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):  # G is symmetric
+        g[3 * j + k] = g[3 * k + j] = math.fsum([x * y for x, y in zip(coords[j], coords[k])])
+    a = g[:]
+    rot = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
     # cyclic Jacobi converges quadratically: four sweeps bring every tested
     # 3x3 (close and repeated eigenvalues included) to rounding level; six
     # leave two spare
     for _sweep in range(6):
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            if a[p][q] == 0.0:  # nothing to zero, and tau would divide by it
+        for pq, pp, qq, columns, rows in _JACOBI_PLANES:
+            if a[pq] == 0.0:  # nothing to zero, and tau would divide by it
                 continue
             # the rotation by theta in the (p, q) plane with
             # cot(2 theta) = tau zeroes a[p][q]; t = tan(theta), |theta| <= pi/4
-            tau = (a[q][q] - a[p][p]) / (2 * a[p][q])
+            tau = (a[qq] - a[pp]) / (2 * a[pq])
             t = math.copysign(1 / (abs(tau) + math.hypot(1.0, tau)), tau)
             c = 1 / math.hypot(1.0, t)
             s = t * c
             for m in (a, rot):  # columns: M <- M J
-                for row in m:
-                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-            row_p, row_q = a[p], a[q]  # rows: A <- J^T A
-            a[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
-            a[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
-    top = max(range(3), key=lambda k: a[k][k])
-    vec = (rot[0][top], rot[1][top], rot[2][top])
-    lam = n - 4 * a[top][top]
-    operator = [[(n if j == k else 0) - 4 * e for k, e in enumerate(row)] for j, row in enumerate(g)]
-    r = [_float_dot(row, vec) - lam * x for row, x in zip(operator, vec)]
+                for j, k in columns:
+                    x, y = m[j], m[k]
+                    m[j], m[k] = c * x - s * y, s * x + c * y
+            for j, k in rows:  # rows: A <- J^T A
+                x, y = a[j], a[k]
+                a[j], a[k] = c * x - s * y, s * x + c * y
+    top = max(range(3), key=lambda k: a[4 * k])
+    vec = (rot[top], rot[3 + top], rot[6 + top])
+    lam = n - 4 * a[4 * top]
+    operator = [(n if j == k else 0) - 4 * g[3 * j + k] for j in range(3) for k in range(3)]
+    r = [_float_dot(operator[3 * j:3 * j + 3], vec) - lam * vec[j] for j in range(3)]
     residual = math.sqrt(_float_dot(r, r))
     if residual > EIGEN_RESIDUAL_TOL:
         raise ArithmeticError(f"eigen-solve residual {residual} exceeds tolerance")
@@ -277,14 +312,20 @@ def rationalize_state(v: Sequence[float], max_den: int) -> UnitVectorQ:
     return stereo_lift(p, q)
 
 
+def _param_ints(max_mn: int) -> list[tuple[int, int]]:
+    """(m, n) of every CircleParams with m <= max_mn, ordered by (m, n):
+    n runs over the integers below m of the other parity."""
+    return [
+        (m, n)
+        for m in range(2, max_mn + 1)
+        for n in range(1 + m % 2, m, 2)
+        if math.gcd(m, n) == 1
+    ]
+
+
 def primitive_params(max_mn: int) -> list[CircleParams]:
     """All CircleParams with m <= max_mn, ordered by (m, n)."""
-    return [
-        CircleParams(m, n)
-        for m in range(2, max_mn + 1)
-        for n in range(1, m)
-        if math.gcd(m, n) == 1 and (m - n) % 2 == 1
-    ]
+    return [CircleParams(m, n) for m, n in _param_ints(max_mn)]
 
 
 def _swap_xy(u: UnitVectorQ) -> UnitVectorQ:
@@ -323,24 +364,30 @@ def search(max_mn: int, max_den: int, top_k: int) -> list[SearchHit]:
     most negative first (ties in params order).  An empty list is a valid
     result.  Raises ValueError for a non-positive bound or max_mn > MAX_MN.
 
-    Each closing pair p1 < p2 that ``_closing_pairs`` yields is built and
-    evaluated once, and the hit (p2, p1) is derived from it.  No pair
-    (p, p) is tested: its two even legs share their power of 2, so it never
-    closes."""
+    The scan runs on plain (m, n) ints; each closing pair p1 < p2 that
+    ``_closing_pairs`` yields gets its two CircleParams, and is built and
+    evaluated once.  The violations are sorted by (value, params) first, and
+    only the top_k returned become SearchHits: a returned hit (p2, p1) is
+    then derived from its pair's scenario, with its unit and adjacency
+    checks.  No pair (p, p) is tested: its two even legs share their power
+    of 2, so it never closes."""
     if max_mn < 1 or max_den < 1 or top_k < 1:
         raise ValueError("search bounds must be positive")
     if max_mn > MAX_MN:
         raise ValueError(f"max_mn is limited to {MAX_MN}, got {max_mn}")
-    params = primitive_params(max_mn)
-    hits: list[SearchHit] = []
-    for i, j, _, _ in _closing_pairs([circle_triple(p) for p in params]):
-        p1, p2 = params[i], params[j]
+    ints = _param_ints(max_mn)
+    found = []  # (value, params, scenario, whether the hit is the mirror)
+    for i, j, _, _ in _closing_pairs([_triple(m, n) for m, n in ints]):
+        p1, p2 = CircleParams(*ints[i]), CircleParams(*ints[j])
         pentagon = build_pentagon(p1, p2)
         vec, _lam = optimal_state_numeric(pentagon)
         scenario = CycleScenario(rationalize_state(vec, max_den), tuple(pentagon))
         value = kcbs_value(scenario)
         if is_violation(value, scenario.n):
-            hits.append(SearchHit(scenario, value, (p1, p2), max_den))
-            hits.append(SearchHit(_mirrored(scenario), value, (p2, p1), max_den))
-    hits.sort(key=lambda h: (h.value, h.params))
-    return hits[:top_k]
+            found.append((value, (p1, p2), scenario, False))
+            found.append((value, (p2, p1), scenario, True))
+    found.sort(key=lambda f: f[:2])
+    return [
+        SearchHit(_mirrored(scenario) if mirror else scenario, value, params, max_den)
+        for value, params, scenario, mirror in found[:top_k]
+    ]

@@ -1,6 +1,7 @@
 """Shared fixture data: the bundled reference configuration spelled out as
 integer literals, so tests cross-check the packaged constants instead of
-echoing them."""
+echoing them, and seeded generators of rationals, rotations and odd
+cycles."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ from fractions import Fraction
 
 import pytest
 
+from rational_kcbs.contextuality import UnitVectorQ
 from rational_kcbs.linalg3 import Vec3Q
+from rational_kcbs.search import circle_triple, primitive_params
 
 REF_STATE_RAW = (Fraction(354, 527), Fraction(357, 527), Fraction(-158, 527))
 
@@ -42,6 +45,36 @@ def rand_fraction(rng: random.Random, max_num: int = 60, max_den: int = 40) -> F
 
 def rand_vec(rng: random.Random) -> Vec3Q:
     return Vec3Q(rand_fraction(rng), rand_fraction(rng), rand_fraction(rng))
+
+
+def rotation(a, b, c, d):
+    """Rows of the rational rotation of the integer quaternion a + bi + cj + dk."""
+    s = a * a + b * b + c * c + d * d
+    return [
+        Vec3Q(Fraction(a * a + b * b - c * c - d * d, s), Fraction(2 * (b * c - a * d), s),
+              Fraction(2 * (b * d + a * c), s)),
+        Vec3Q(Fraction(2 * (b * c + a * d), s), Fraction(a * a - b * b + c * c - d * d, s),
+              Fraction(2 * (c * d - a * b), s)),
+        Vec3Q(Fraction(2 * (b * d - a * c), s), Fraction(2 * (c * d + a * b), s),
+              Fraction(a * a - b * b - c * c + d * d, s)),
+    ]
+
+
+def odd_cycle(rng, n):
+    """A rational odd n-cycle: a rotated orthonormal triangle, grown by
+    detours a -> x -> a with x a rational unit vector orthogonal to a."""
+    rows = rotation(*(rng.randint(-4, 4) for _ in range(3)), 1)
+    cycle = [(rows[0], rows[1], rows[2]), (rows[1], rows[2], rows[0]), (rows[2], rows[0], rows[1])]
+    while len(cycle) < n:
+        at = rng.randrange(len(cycle))
+        a, b, c = cycle[at]
+        odd, even, hyp = circle_triple(rng.choice(primitive_params(9)))
+        cos, sin = Fraction(odd, hyp), Fraction(rng.choice((-1, 1)) * even, hyp)
+        pairs = list(zip(b.as_tuple(), c.as_tuple()))
+        x = Vec3Q(*(p * cos + q * sin for p, q in pairs))
+        y = Vec3Q(*(q * cos - p * sin for p, q in pairs))
+        cycle[at + 1:at + 1] = [(x, y, a), (a, b, c)]
+    return [UnitVectorQ(v) for v, _, _ in cycle]
 
 
 # One PASS/FAIL line per acceptance criterion, echoed after the test summary

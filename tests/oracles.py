@@ -1,9 +1,12 @@
 """Exact test oracles on plain rows of Fractions: matrix products, the
 observables 2 v v^T - I, the Gram matrix, the cycle operator and its
-quadratic form, the z-mirrored pentagons and the stereographic chart.  They
-share nothing with the program's integer matrix kernel; tests check its
-routes against them.  ``closing_pairs_scan`` is the plain all-pairs closure
-scan, without the class rule of ``search._closing_pairs``."""
+quadratic form, the z-mirrored pentagons, the stereographic chart and its
+inverse.  They share nothing with the program's integer matrix kernel;
+tests check its routes against them.  ``closing_pairs_scan`` is the plain
+all-pairs closure scan, without the class rule of
+``search._closing_pairs``.  ``jacobi_aim_rows`` is the float aim of
+``search.optimal_state_numeric`` on lists of row lists, which the flat
+program version must reproduce bit for bit."""
 
 from __future__ import annotations
 
@@ -82,6 +85,13 @@ def stereo_chart(v: Vec3Q) -> tuple[Fraction, Fraction]:
     return (v.x / (1 + v.z), v.y / (1 + v.z))
 
 
+def stereo_lift_fractions(p: Fraction, q: Fraction) -> Vec3Q:
+    """(2p, 2q, 1 - p^2 - q^2) / (1 + p^2 + q^2) in Fractions: the inverse of
+    ``stereo_chart``."""
+    scale = 1 + p * p + q * q
+    return Vec3Q(2 * p / scale, 2 * q / scale, (1 - p * p - q * q) / scale)
+
+
 def cycle_operator(vectors: Sequence[UnitVectorQ]) -> Rows:
     """Exact operator  sum_i A_i A_{i+1}  for a cycle of directions.
 
@@ -111,3 +121,30 @@ def closing_pairs_scan(
         if root * root == length_sq:
             found.append((i, j, (x, y, z), root))
     return found
+
+
+def jacobi_aim_rows(vectors: Sequence[UnitVectorQ]) -> tuple[tuple[float, float, float], float]:
+    """The top eigenvector u of the float Gram matrix G and n - 4 * mu for its
+    eigenvalue mu, by six cyclic Jacobi sweeps on lists of row lists, with
+    the components converted by ``float(Fraction)``: the same float
+    operations in the same order as ``optimal_state_numeric``."""
+    n = len(vectors)
+    fv = [u.v.as_floats() for u in vectors]
+    a = [[math.fsum(v[j] * v[k] for v in fv) for k in range(3)] for j in range(3)]
+    rot = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for _sweep in range(6):
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            if a[p][q] == 0.0:
+                continue
+            tau = (a[q][q] - a[p][p]) / (2 * a[p][q])
+            t = math.copysign(1 / (abs(tau) + math.hypot(1.0, tau)), tau)
+            c = 1 / math.hypot(1.0, t)
+            s = t * c
+            for m in (a, rot):  # columns: M <- M J
+                for row in m:
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+            row_p, row_q = a[p], a[q]  # rows: A <- J^T A
+            a[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
+            a[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
+    top = max(range(3), key=lambda k: a[k][k])
+    return (rot[0][top], rot[1][top], rot[2][top]), n - 4 * a[top][top]

@@ -28,7 +28,7 @@ from rational_kcbs.linalg3 import (
     mat_mul,
 )
 from rational_kcbs.search import stereo_lift
-from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, rand_fraction
+from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, odd_cycle, rand_fraction
 from tests.oracles import cycle_operator, observable_rows, outer_rows, quadratic_form, ref_vec
 
 DEGENERATE_VECTORS = (E_X, E_Y, E_X, E_Y, E_Z)
@@ -310,6 +310,22 @@ def test_correlators_match_fraction_rows_oracle():
             a, b = s.observables[i], s.observables[j]
             assert correlator(s, i) == dot(rotated(a.rows, state), rotated(b.rows, state))
         assert kcbs_value(s) == kcbs_value_via_projections(s)
+
+
+def test_kcbs_value_matches_correlators_and_fraction_rows_oracle():
+    # the one-Fraction sum against the sum of the correlators and the
+    # quadratic form of the Fraction-rows cycle operator, on odd cycles
+    # n = 3..23 rotated to about 60-digit components
+    rng = random.Random(2323)
+    for n in range(3, 24, 2):
+        rows = rational_rotation(rng, 30)
+        state = stereo_lift(rand_fraction(rng, 10**30, 10**30), rand_fraction(rng, 10**30, 10**30)).v
+        s = validate_cycle(state, [rotated(rows, u.v) for u in odd_cycle(rng, n)])
+        assert s.n == n
+        assert max(c.denominator for u in s.vectors for c in u.v.as_tuple()) > 10**55
+        value = kcbs_value(s)
+        assert value == sum(correlator(s, i) for i in range(n))
+        assert value == quadratic_form(state, cycle_operator(s.vectors))
 
 
 # --------------------------------------------------------------- cycle values

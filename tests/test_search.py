@@ -36,14 +36,23 @@ from rational_kcbs.search import (
     search,
     stereo_lift,
 )
-from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, rand_fraction
+from tests.conftest import (
+    REF_KCBS_VALUE,
+    REF_STATE_RAW,
+    REF_VECTORS_RAW,
+    odd_cycle,
+    rand_fraction,
+    rotation,
+)
 from tests.oracles import (
     IDENTITY_ROWS,
     closing_pairs_scan,
     cycle_operator,
     gram,
+    jacobi_aim_rows,
     ref_map,
     stereo_chart,
+    stereo_lift_fractions,
     z_flipped_pentagon,
 )
 
@@ -203,6 +212,19 @@ class TestStereo:
             u = stereo_lift(rand_fraction(rng, 200, 99), rand_fraction(rng, 200, 99))
             assert norm_sq(u.v) == 1
 
+    def test_lift_matches_fraction_oracle(self):
+        # the integer lift against (2p, 2q, 1 - p^2 - q^2) / (1 + p^2 + q^2)
+        # in Fractions: zero, integers, negatives and 60-digit values
+        rng = random.Random(4242)
+        big = 10**60
+        values = [Fraction(0), Fraction(1), Fraction(-3), Fraction(7, 2), Fraction(-5, 9)]
+        values += [rand_fraction(rng, 200, 99) for _ in range(15)]
+        values += [Fraction(rng.randint(-big, big), rng.randint(big // 10, big)) for _ in range(15)]
+        assert max(abs(v.numerator) for v in values) > 10**59
+        for p, q in itertools.product(values, repeat=2):
+            assert stereo_lift(p, q).v == stereo_lift_fractions(p, q), (p, q)
+        assert stereo_lift(2, -3).v == stereo_lift_fractions(Fraction(2), Fraction(-3))
+
     def test_round_trips(self):
         rng = random.Random(654)
         for _ in range(300):
@@ -337,38 +359,8 @@ def pentagons_30():
     return pentagons
 
 
-def rotation(a, b, c, d):
-    """Rows of the rational rotation of the integer quaternion a + bi + cj + dk."""
-    s = a * a + b * b + c * c + d * d
-    return [
-        Vec3Q(Fraction(a * a + b * b - c * c - d * d, s), Fraction(2 * (b * c - a * d), s),
-              Fraction(2 * (b * d + a * c), s)),
-        Vec3Q(Fraction(2 * (b * c + a * d), s), Fraction(a * a - b * b + c * c - d * d, s),
-              Fraction(2 * (c * d - a * b), s)),
-        Vec3Q(Fraction(2 * (b * d - a * c), s), Fraction(2 * (c * d + a * b), s),
-              Fraction(a * a - b * b - c * c + d * d, s)),
-    ]
-
-
 def rotated(rows, vectors):
     return [UnitVectorQ(Vec3Q(*(dot(row, v) for row in rows))) for v in vectors]
-
-
-def odd_cycle(rng, n):
-    """A rational odd n-cycle: a rotated orthonormal triangle, grown by
-    detours a -> x -> a with x a rational unit vector orthogonal to a."""
-    rows = rotation(*(rng.randint(-4, 4) for _ in range(3)), 1)
-    cycle = [(rows[0], rows[1], rows[2]), (rows[1], rows[2], rows[0]), (rows[2], rows[0], rows[1])]
-    while len(cycle) < n:
-        at = rng.randrange(len(cycle))
-        a, b, c = cycle[at]
-        odd, even, hyp = circle_triple(rng.choice(primitive_params(9)))
-        cos, sin = Fraction(odd, hyp), Fraction(rng.choice((-1, 1)) * even, hyp)
-        pairs = list(zip(b.as_tuple(), c.as_tuple()))
-        x = Vec3Q(*(p * cos + q * sin for p, q in pairs))
-        y = Vec3Q(*(q * cos - p * sin for p, q in pairs))
-        cycle[at + 1:at + 1] = [(x, y, a), (a, b, c)]
-    return [UnitVectorQ(v) for v, _, _ in cycle]
 
 
 ODD_CYCLES = [odd_cycle(random.Random(n), n) for n in range(3, 24, 2)]
@@ -424,6 +416,22 @@ class TestGramAim:
         assert abs(math.hypot(*vec) - 1) < 1e-12
         op = np.array([[float(e) for e in row] for row in cycle_operator(vectors)])
         assert np.linalg.norm(op @ np.array(vec) - ref_lam * np.array(vec)) < 1e-12
+
+    def test_flat_sweeps_match_row_list_oracle(self):
+        # the same float operations in the same order give the same bits:
+        # every closing pentagon of primitive_params(40) in both orders, the
+        # degenerate cycles above and the other test cycles
+        params = primitive_params(40)
+        pentagons = [
+            build_pentagon(params[a], params[b])
+            for i, j, _, _ in _closing_pairs([circle_triple(p) for p in params])
+            for a, b in ((i, j), (j, i))
+        ]
+        assert len(pentagons) == 38
+        for vectors in pentagons + list(SPECIAL_CYCLES.values()) + ODD_CYCLES:
+            vec, lam = optimal_state_numeric(vectors)
+            ref_vec, ref_lam = jacobi_aim_rows(vectors)
+            assert [x.hex() for x in (*vec, lam)] == [x.hex() for x in (*ref_vec, ref_lam)]
 
     def test_identity_aims_at_e_x(self):
         assert optimal_state_numeric(SPECIAL_CYCLES["identity"]) == ((1.0, 0.0, 0.0), -1.0)
@@ -554,6 +562,29 @@ class TestSearch:
         one = search(max_mn=14, max_den=600, top_k=1)
         assert len(one) == 1
         assert one[0].value == default_hits[0].value
+
+    @pytest.mark.parametrize("max_den", [10, 50, 600, 2712, 10**6])
+    def test_top_k_is_a_prefix(self, max_den):
+        full = search(24, max_den, 1000)
+        assert full
+        for k in range(1, len(full) + 1):
+            assert search(24, max_den, k) == full[:k], k
+
+    def test_hits_built_only_for_the_returned_top_k(self, monkeypatch):
+        # the scan runs on ints: two CircleParams per closing pair, shared by
+        # its pentagon and its two hits, and a mirror scenario only for each
+        # returned mirror hit (p2, p1) with p2 > p1
+        closing = len(list(_closing_pairs([circle_triple(p) for p in primitive_params(24)])))
+        calls = dict.fromkeys(("CircleParams", "_mirrored"), 0)
+        for name in calls:
+            monkeypatch.setattr(search_module, name, counted(calls, name, getattr(search_module, name)))
+        mirrors = []
+        for top_k in (1, 2, 5, 1000):
+            calls.update(dict.fromkeys(calls, 0))
+            hits = search(24, 10**6, top_k)
+            mirrors.append(sum(h.params[0] > h.params[1] for h in hits))
+            assert calls == {"CircleParams": 2 * closing, "_mirrored": mirrors[-1]}, top_k
+        assert mirrors[-1] == closing > mirrors[1]
 
     @pytest.mark.parametrize("max_den", [10, 600, 10**6])
     def test_hits_come_in_mirror_pairs(self, max_den):
