@@ -30,7 +30,7 @@ from .contextuality import (
     validate_cycle,
 )
 from .hv_models import classical_min_cycle, is_violation
-from .linalg3 import Mat3Q, Vec3Q, mat_mul
+from .linalg3 import Vec3Q, _int_mat_mul, _ints
 from .rationals import format_rational, parse_rational, to_decimal
 from .search import search
 
@@ -102,28 +102,36 @@ def scenario_config(s: CycleScenario) -> dict:
 
 
 def _run_checks(s: CycleScenario, value: Fraction, corrs: list[Fraction]) -> dict[str, bool]:
-    """Exact re-checks of the named invariants, reported alongside results."""
+    """Exact re-checks of the named invariants, reported alongside results.
+
+    Each matrix check compares unreduced ints over one shared denominator:
+    A A over d = den^2 is I exactly when it reads (d, 0, 0, 0, d, 0, 0, 0, d),
+    and A B, B A are both over den_A * den_B, so both orders are computed
+    and compared int for int."""
     observables = s.observables
-    identity = Mat3Q.identity()
-    square_ok = all(mat_mul(a, a) == identity for a in observables)
-    trace_ok = all(a.trace() == -1 for a in observables)
+    square_ok = all(
+        _int_mat_mul(a, a) == (d := a._den * a._den, 0, 0, 0, d, 0, 0, 0, d)
+        for a in observables
+    )
+    trace_ok = all(a._num[0] + a._num[4] + a._num[8] == -a._den for a in observables)
     commute_ok = all(
-        mat_mul(a, b) == mat_mul(b, a)
+        _int_mat_mul(a, b) == _int_mat_mul(b, a)
         for a, b in zip(observables, observables[1:] + observables[:1])
     )
     return {
         "observables_square_to_identity": square_ok,
         "observables_trace_minus_one": trace_ok,
         "adjacent_observables_commute": commute_ok,
-        "correlators_in_range": all(-1 <= c <= 1 for c in corrs),
-        "value_in_range": -s.n <= value <= s.n,
+        "correlators_in_range": all(abs(c.numerator) <= c.denominator for c in corrs),
+        "value_in_range": abs(value.numerator) <= s.n * value.denominator,
         "projection_identity_matches": value == kcbs_value_via_projections(s),
     }
 
 
 def build_report(s: CycleScenario, digits: int) -> dict:
     corrs = [correlator(s, i) for i in range(s.n)]
-    value = sum(corrs)
+    nums, den = _ints(corrs)  # the exact sum of corrs as one Fraction
+    value = Fraction(sum(nums), den)
     checks = _run_checks(s, value, corrs)
     bound, _witness = classical_min_cycle(s.n)
     checks["classical_bound_enumerated"] = True  # certified over all 2^n assignments

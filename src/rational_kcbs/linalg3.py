@@ -9,7 +9,9 @@ run on Python ints; a Fraction is built only where a value leaves the matrix
 (``rows`` and ``trace()``).  The private
 integer kernels ``_ints``, ``_int_dot`` and ``_int_mat_vec`` let callers keep
 a vector as three ints over one denominator and build one Fraction at the
-end; ``_mat`` builds a matrix straight from nine such ints.
+end; ``_int_mat_mul`` gives a product as nine ints over the product of the
+two denominators, for callers that only compare it, and ``_mat`` builds a
+matrix straight from nine such ints.
 Components are ints or Fractions.  Floats are rejected at construction:
 once a binary-rounded value sneaks in, no downstream result is exact
 anymore.  Strings are rejected too: fraction text is parsed once, at the
@@ -136,15 +138,17 @@ def cross(u: Vec3Q, v: Vec3Q) -> Vec3Q:
 
 
 def mat_mul(a: Mat3Q, b: Mat3Q) -> Mat3Q:
+    return _mat(_int_mat_mul(a, b), a._den * b._den)
+
+
+def _int_mat_mul(a: Mat3Q, b: Mat3Q) -> tuple[int, ...]:
+    """a b as nine row-major ints over a._den * b._den, not reduced."""
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = a._num
     b0, b1, b2, b3, b4, b5, b6, b7, b8 = b._num
-    return _mat(
-        (
-            a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
-            a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
-            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
-        ),
-        a._den * b._den,
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
     )
 
 

@@ -1,7 +1,7 @@
 """Exact test oracles on plain rows of Fractions: matrix products, the
 observables 2 v v^T - I, the Gram matrix, the cycle operator and its
 quadratic form, the z-mirrored pentagons, the stereographic chart and its
-inverse.  They share nothing with the program's integer matrix kernel;
+inverse, and a report's exact re-checks (``report_checks_rows``).  They share nothing with the program's integer matrix kernel;
 tests check its routes against them.  ``closing_pairs_scan`` is the plain
 all-pairs closure scan, without the class rule of
 ``search._closing_pairs``.  ``jacobi_aim_rows`` is the float aim of
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from rational_kcbs.contextuality import UnitVectorQ, check_cycle_vectors
-from rational_kcbs.linalg3 import Vec3Q
+from rational_kcbs.linalg3 import Vec3Q, dot
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
@@ -103,6 +103,25 @@ def cycle_operator(vectors: Sequence[UnitVectorQ]) -> Rows:
     check_cycle_vectors(vectors)
     mats = [observable_rows(u.v) for u in vectors]
     return ref_sum([ref_mul(a, b) for a, b in zip(mats, mats[1:] + mats[:1])])
+
+
+def report_checks_rows(s, value: Fraction, corrs: Sequence[Fraction]) -> dict[str, bool]:
+    """The re-checks of ``cli._run_checks`` on rows of Fractions: products by
+    ``ref_mul`` compared with the identity rows or with each other, the trace
+    and the ranges as Fraction comparisons, and the projection identity
+    n - 4 sum_i (v_i . psi)^2 from Fraction dot products."""
+    mats = [a.rows for a in s.observables]
+    psi = s.state.v
+    return {
+        "observables_square_to_identity": all(ref_mul(a, a) == IDENTITY_ROWS for a in mats),
+        "observables_trace_minus_one": all(a[0][0] + a[1][1] + a[2][2] == -1 for a in mats),
+        "adjacent_observables_commute": all(
+            ref_mul(a, b) == ref_mul(b, a) for a, b in zip(mats, mats[1:] + mats[:1])
+        ),
+        "correlators_in_range": all(-1 <= c <= 1 for c in corrs),
+        "value_in_range": -s.n <= value <= s.n,
+        "projection_identity_matches": value == s.n - 4 * sum(dot(u.v, psi) ** 2 for u in s.vectors),
+    }
 
 
 def closing_pairs_scan(

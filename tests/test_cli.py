@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,17 +12,20 @@ import pytest
 from rational_kcbs import cli, contextuality, linalg3
 from rational_kcbs.cli import MAX_BOUND_N, MAX_DIGITS, main
 from rational_kcbs.contextuality import (
+    CycleValidationError,
     UnitVectorQ,
     correlator,
     kcbs_value,
     kcbs_value_via_projections,
     make_observable,
     reference_scenario,
+    validate_cycle,
 )
-from rational_kcbs.linalg3 import Mat3Q, Vec3Q
+from rational_kcbs.linalg3 import Mat3Q, Vec3Q, dot, mat_mul
 from rational_kcbs.rationals import format_rational, parse_rational
 from rational_kcbs.search import stereo_lift
-from tests.conftest import REF_KCBS_VALUE
+from tests.conftest import REF_KCBS_VALUE, odd_cycle, rand_fraction, rotation
+from tests.oracles import report_checks_rows
 
 REF_CONFIG = {
     "state": ["354/527", "357/527", "-158/527"],
@@ -180,6 +184,96 @@ def test_report_check_reads_false_when_broken(key):
     assert checks == {k: k != key for k in checks}
 
 
+def _rotated_odd_cycles():
+    """Seeded odd cycles n = 3..23, rotated by an exact rotation from a
+    30-digit quaternion (about 60-digit components), each with a state
+    lifted from a 30-digit plane point."""
+    rng = random.Random(2020)
+    for n in range(3, 24, 2):
+        rows = rotation(*(rng.randint(-10**30, 10**30) for _ in range(4)))
+        state = stereo_lift(rand_fraction(rng, 10**30, 10**30), rand_fraction(rng, 10**30, 10**30)).v
+        s = validate_cycle(state, [Vec3Q(*(dot(r, u.v) for r in rows)) for u in odd_cycle(rng, n)])
+        assert s.n == n and max(c.denominator for u in s.vectors for c in u.v.as_tuple()) > 10**55
+        yield s
+
+
+# Non-symmetric matrices, on which a product taken with the right operand's
+# (0, 1) and (1, 0) entries swapped differs from the true one.
+SHEAR = Mat3Q(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+SHEAR_SCALED = Mat3Q(((1, -2, 0), (0, 2, 0), (0, 0, 1)))
+# closes a 3-cycle with SHEAR and SHEAR_SCALED whose three adjacent products
+# are all symmetric, although SHEAR and SHEAR_SCALED do not commute
+SHEAR_CLOSING = Mat3Q(((1, -1, 0), (0, Fraction(-1, 2), 0), (0, 0, 1)))
+# squares to I and has trace -1, but is not symmetric
+OBLIQUE_REFLECTION = Mat3Q(((1, 1, 0), (0, -1, 0), (0, 0, -1)))
+
+
+def _report_inputs(s):
+    """``cli._run_checks`` inputs of a scenario: itself, its value and its
+    correlators."""
+    return s, kcbs_value(s), [correlator(s, i) for i in range(s.n)]
+
+
+def _with_observables(*observables):
+    """The reference scenario's report inputs, with its observables replaced."""
+    s, value, corrs = _report_inputs(reference_scenario())
+    s.__dict__["observables"] = observables
+    return s, value, corrs
+
+
+def test_report_checks_match_fraction_rows_oracle(tmp_path):
+    # the unreduced-int checks against the same checks on Fraction rows
+    golden = []
+    for name, data in GOLDEN["configs"].items():
+        state, vectors = cli.load_config(write_config(tmp_path, data, f"{name}.json"))
+        try:
+            golden.append(validate_cycle(state, vectors))
+        except CycleValidationError:
+            pass
+    assert sorted(s.n for s in golden) == [5, 7]
+    valid = [_report_inputs(s) for s in (*golden, *_rotated_odd_cycles())]
+    assert all(all(cli._run_checks(*case).values()) for case in valid)
+    cases = valid + [_checks_breaking(key) for key in sorted(CHECK_KEYS - {"classical_bound_enumerated"})]
+    cases += [
+        _with_observables(*(OBLIQUE_REFLECTION,) * 5),
+        _with_observables(SHEAR, SHEAR_SCALED, SHEAR_CLOSING),
+        _with_observables(SHEAR, Mat3Q.identity()),
+    ]
+    for s, value, corrs in cases:
+        assert cli._run_checks(s, value, corrs) == report_checks_rows(s, value, corrs)
+
+
+def test_commute_check_computes_both_orders():
+    # every adjacent product of the 3-cycle is symmetric, so comparing each
+    # product with its transpose would pass; SHEAR SHEAR_SCALED differs from
+    # SHEAR_SCALED SHEAR, so the check must read false
+    cycle = (SHEAR, SHEAR_SCALED, SHEAR_CLOSING)
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        rows = mat_mul(a, b).rows
+        assert rows == tuple(zip(*rows))
+    assert mat_mul(SHEAR, SHEAR_SCALED) != mat_mul(SHEAR_SCALED, SHEAR)
+    assert not cli._run_checks(*_with_observables(*cycle))["adjacent_observables_commute"]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_range_checks_include_their_end_points(sign):
+    s = reference_scenario()
+    checks = cli._run_checks(s, Fraction(sign * s.n), [Fraction(sign)] * s.n)
+    assert checks["correlators_in_range"] and checks["value_in_range"]
+    past = sign * (1 + Fraction(1, 10**30))
+    checks = cli._run_checks(s, s.n * past, [past] + [Fraction(sign)] * (s.n - 1))
+    assert not checks["correlators_in_range"] and not checks["value_in_range"]
+
+
+def test_report_value_is_the_sum_of_its_correlators():
+    for s in _rotated_odd_cycles():
+        report = cli.build_report(s, 3)
+        corrs = [parse_rational(c) for c in report["per_correlator"]]
+        assert len(corrs) == s.n
+        assert parse_rational(report["value"]) == sum(corrs) == kcbs_value(s)
+        assert all(report["checks"].values())
+
+
 # --------------------------------------------------------------- verify/evaluate
 
 
@@ -325,20 +419,20 @@ def test_evaluate_computes_each_state_image_once(capsys, tmp_path, monkeypatch):
 def test_evaluate_runs_every_exact_matrix_check(capsys, tmp_path, monkeypatch):
     # 5 squares A_i A_i plus both orders of the 5 adjacent products
     calls = []
-    fn = linalg3.mat_mul
+    fn = linalg3._int_mat_mul
 
     def counting(a, b):
         calls.append((a, b))
         return fn(a, b)
 
-    # every module of the program that binds mat_mul
+    # every module of the program that binds the integer product
     for module in (linalg3, cli):
-        monkeypatch.setattr(module, "mat_mul", counting)
+        monkeypatch.setattr(module, "_int_mat_mul", counting)
     code, _, _ = run_cli(capsys, "evaluate", write_config(tmp_path, REF_CONFIG))
     assert code == 0
     assert len(calls) == 15
     observables = reference_scenario().observables
-    assert sum(a == b for a, b in calls) == 5
+    assert sum(a is b for a, b in calls) == 5
     assert {a for a, _ in calls} == set(observables)
 
 
