@@ -4,7 +4,8 @@ A scenario is a unit state plus an odd cycle of unit directions whose
 adjacent pairs (indices mod n) are exactly orthogonal.  The unit type
 ``UnitVectorQ`` (for the state and for every direction) owns the norm
 check and the vector's integer form: three ints over one denominator,
-computed once at construction.  ``CycleScenario`` owns the rest.  Each
+computed once at construction (``_unit`` builds one straight from such ints,
+with the same check).  ``CycleScenario`` owns the rest.  Each
 direction v carries the dichotomic observable ``2|v><v| - 1`` with outcomes
 +-1, held as that ``Mat3Q`` and built straight from the direction's ints
 (``make_observable``); adjacent orthogonality makes adjacent
@@ -30,7 +31,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .linalg3 import (
     E_X,
@@ -83,6 +84,31 @@ class UnitVectorQ:
             )
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
+
+
+def _unit(num: tuple[int, int, int], den: int, v: Vec3Q | None = None) -> UnitVectorQ:
+    """``UnitVectorQ`` of the three ints num over den > 0, with the ints
+    divided by gcd(den, *num): the lowest common denominator form the public
+    constructor computes.  v, when given, is that same vector already as
+    Fractions.  Raises the public constructor's ValueError unless
+    |num|^2 = den^2; the public constructor keeps its own inline check, so
+    validating a config costs no extra call."""
+    length_sq = _int_dot(num, num)
+    if length_sq != den * den:
+        raise ValueError(
+            f"not a unit vector: |v|^2 = {format_rational(Fraction(length_sq, den * den))}"
+        )
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple([c // g for c in num])
+        den //= g
+    if v is None:
+        v = Vec3Q(Fraction(num[0], den), Fraction(num[1], den), Fraction(num[2], den))
+    u = object.__new__(UnitVectorQ)
+    object.__setattr__(u, "v", v)
+    object.__setattr__(u, "_num", num)
+    object.__setattr__(u, "_den", den)
+    return u
 
 
 def make_observable(v: UnitVectorQ) -> Mat3Q:

@@ -56,9 +56,6 @@ class Vec3Q:
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.x, self.y, self.z)
 
-    def as_floats(self) -> tuple[float, float, float]:
-        return (float(self.x), float(self.y), float(self.z))
-
 
 E_X = Vec3Q(1, 0, 0)
 E_Y = Vec3Q(0, 1, 0)

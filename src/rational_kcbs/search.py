@@ -38,8 +38,12 @@ The construction works entirely on rational points of the unit sphere:
   found by a fixed number of cyclic Jacobi sweeps on flat lists of nine
   floats (``optimal_state_numeric``): one path for simple, close and
   repeated eigenvalues alike.  The aim is then snapped back onto the
-  rational sphere: project stereographically, take best bounded-denominator
-  approximations of the two plane coordinates, and lift on integers.  The
+  rational sphere: project stereographically, take the best
+  bounded-denominator approximation of each plane coordinate by a continued
+  fraction on the float's exact integer ratio (equal to
+  ``Fraction.limit_denominator``, ties included), and lift on integers.
+  The pentagon's directions, the snapped state and the mirror's vectors
+  are built from their ints, with the unit check run on the ints.  The
   lift of rational plane points is exactly unit by construction, which is
   why rationalization goes through the plane instead of rounding
   components and renormalizing (a rounded 3-vector almost never has a
@@ -62,6 +66,7 @@ from fractions import Fraction
 from .contextuality import (
     CycleScenario,
     UnitVectorQ,
+    _unit,
     check_cycle_vectors,
     kcbs_value,
 )
@@ -167,52 +172,83 @@ def build_pentagon(p1: CircleParams, p2: CircleParams) -> list[UnitVectorQ] | No
     closing = next(_closing_pairs((t1, t2)), None)
     if closing is None:
         return None
-    _, _, (x, y, z), root = closing
+    _, _, v3, root = closing
     odd1, even1, hyp1 = t1
     odd2, even2, hyp2 = t2
-    v2 = UnitVectorQ(Vec3Q(Fraction(even1, hyp1), Fraction(0), Fraction(-odd1, hyp1)))
-    v3 = UnitVectorQ(Vec3Q(Fraction(x, root), Fraction(y, root), Fraction(z, root)))
-    v4 = UnitVectorQ(Vec3Q(Fraction(0), Fraction(even2, hyp2), Fraction(-odd2, hyp2)))
-    return [UnitVectorQ(E_X), UnitVectorQ(E_Y), v2, v3, v4]
+    return [
+        _unit((1, 0, 0), 1, E_X),
+        _unit((0, 1, 0), 1, E_Y),
+        _unit((even1, 0, -odd1), hyp1),
+        _unit(v3, root),
+        _unit((0, even2, -odd2), hyp2),
+    ]
+
+
+def _lift(a: int, b: int, c: int, e: int) -> UnitVectorQ:
+    """``stereo_lift`` of p = a/b and q = c/e (b, e > 0) on integers:
+    scaling by (be)^2 gives (2ae*be, 2cb*be, (be)^2 - (ae)^2 - (cb)^2) over
+    S = (be)^2 + (ae)^2 + (cb)^2."""
+    be, ae, cb = b * e, a * e, c * b
+    be_sq, ae_sq, cb_sq = be * be, ae * ae, cb * cb
+    return _unit((2 * ae * be, 2 * cb * be, be_sq - ae_sq - cb_sq), be_sq + ae_sq + cb_sq)
 
 
 def stereo_lift(p: Fraction | int, q: Fraction | int) -> UnitVectorQ:
     """Inverse stereographic projection from the plane through the north pole:
     (p, q) -> (2p, 2q, 1 - p^2 - q^2) / (1 + p^2 + q^2), exactly unit for any
-    rational inputs.
-
-    On integers: with p = a/b and q = c/e, scaling by (be)^2 gives
-    (2ae*be, 2cb*be, (be)^2 - (ae)^2 - (cb)^2) / S with
-    S = (be)^2 + (ae)^2 + (cb)^2, three Fractions.
-    """
+    rational inputs."""
     p, q = Fraction(p), Fraction(q)
-    be = p.denominator * q.denominator
-    ae = p.numerator * q.denominator
-    cb = q.numerator * p.denominator
-    be_sq, ae_sq, cb_sq = be * be, ae * ae, cb * cb
-    scale = be_sq + ae_sq + cb_sq
-    return UnitVectorQ(Vec3Q(
-        Fraction(2 * ae * be, scale), Fraction(2 * cb * be, scale), Fraction(be_sq - ae_sq - cb_sq, scale)
-    ))
+    return _lift(p.numerator, p.denominator, q.numerator, q.denominator)
+
+
+def _best_ratio(n: int, d: int, max_den: int) -> tuple[int, int]:
+    """(p, q) of ``Fraction(n, d).limit_denominator(max_den)`` for n / d in
+    lowest terms (d > 0), on ints; n / d < 0 is approximated as -(-n / d).
+
+    The continued fraction of n / d is expanded while the convergents'
+    denominators stay <= max_den.  The best approximation is then the last
+    convergent p1 / q1 or the semiconvergent (p0 + k p1) / (q0 + k q1) with
+    the largest k that keeps its denominator <= max_den.  The two lie
+    1 / (q1 (q0 + k q1)) apart, and p1 / q1 lies r / (q1 d) from n / d for
+    the expansion's remainder r, so the convergent is at least as close
+    exactly when 2 r (q0 + k q1) <= d; a tie keeps it.  Raises ValueError
+    for max_den < 1.
+    """
+    if max_den < 1:
+        raise ValueError(f"max_den must be >= 1, got {max_den}")
+    if n < 0:
+        p, q = _best_ratio(-n, d, max_den)
+        return -p, q
+    if d <= max_den:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, rem = n, d
+    while True:
+        a = num // rem
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, rem = rem, num - a * rem
+    k = (max_den - q0) // q1
+    if 2 * rem * (q0 + k * q1) <= d:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
 def best_rational_approx(x: float | Fraction | int, max_den: int) -> Fraction:
     """Closest fraction to x with denominator <= max_den.
 
-    ``Fraction.limit_denominator`` finds it; ties prefer the smaller
-    denominator, then the smaller absolute numerator.  On a tie the standard
-    library keeps the convergent, which for x < 0 is the candidate farther
-    from zero, so negative x is approximated as -(-x).  x must be finite;
-    max_den must be >= 1.
+    Equal to ``Fraction.limit_denominator``, ties included: they prefer the
+    smaller denominator, then the smaller absolute numerator.  On a tie the
+    standard library keeps the convergent, which for x < 0 is the candidate
+    farther from zero, so negative x is approximated as -(-x).  x must be
+    finite; max_den must be >= 1.
     """
-    if max_den < 1:
-        raise ValueError(f"max_den must be >= 1, got {max_den}")
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     fx = Fraction(x)
-    if fx < 0:
-        return -(-fx).limit_denominator(max_den)
-    return fx.limit_denominator(max_den)
+    return Fraction(*_best_ratio(fx.numerator, fx.denominator, max_den))
 
 
 Float3 = tuple[float, float, float]
@@ -294,9 +330,11 @@ def rationalize_state(v: Sequence[float], max_den: int) -> UnitVectorQ:
 
     The overall sign is flipped if z < 0 (states are sign-insensitive), which
     keeps the stereographic chart away from its pole; the two plane
-    coordinates are then approximated with denominators <= max_den and lifted
-    back, so the result is exactly unit regardless of max_den.  Raises
-    ValueError for a length other than 3 or a norm not within 1e-6 of 1.
+    coordinates are then approximated with denominators <= max_den, on the
+    ints of each float's exact ratio, and lifted back on integers, so the
+    result is exactly unit regardless of max_den.  Raises
+    ValueError for a length other than 3, a norm not within 1e-6 of 1 or
+    max_den < 1.
     """
     if len(v) != 3:
         raise ValueError(f"expected a 3-vector, got {len(v)} components")
@@ -307,9 +345,9 @@ def rationalize_state(v: Sequence[float], max_den: int) -> UnitVectorQ:
     if z < 0:
         x, y, z = -x, -y, -z
     denom = 1.0 + z
-    p = best_rational_approx(x / denom, max_den)
-    q = best_rational_approx(y / denom, max_den)
-    return stereo_lift(p, q)
+    a, b = _best_ratio(*(x / denom).as_integer_ratio(), max_den)
+    c, e = _best_ratio(*(y / denom).as_integer_ratio(), max_den)
+    return _lift(a, b, c, e)
 
 
 def _param_ints(max_mn: int) -> list[tuple[int, int]]:
@@ -329,7 +367,9 @@ def primitive_params(max_mn: int) -> list[CircleParams]:
 
 
 def _swap_xy(u: UnitVectorQ) -> UnitVectorQ:
-    return UnitVectorQ(Vec3Q(u.v.y, u.v.x, u.v.z))
+    x, y, z = u._num
+    v = u.v
+    return _unit((y, x, z), u._den, Vec3Q(v.y, v.x, v.z))
 
 
 def _mirrored(scenario: CycleScenario) -> CycleScenario:

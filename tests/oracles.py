@@ -148,7 +148,7 @@ def jacobi_aim_rows(vectors: Sequence[UnitVectorQ]) -> tuple[tuple[float, float,
     the components converted by ``float(Fraction)``: the same float
     operations in the same order as ``optimal_state_numeric``."""
     n = len(vectors)
-    fv = [u.v.as_floats() for u in vectors]
+    fv = [[float(c) for c in u.v.as_tuple()] for u in vectors]
     a = [[math.fsum(v[j] * v[k] for v in fv) for k in range(3)] for j in range(3)]
     rot = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     for _sweep in range(6):

@@ -77,6 +77,48 @@ def test_unit_vector_value_semantics():
         u.v = E_X
 
 
+def unit_int_vectors(rng: random.Random) -> list[tuple[tuple[int, int, int], int]]:
+    """Unit vectors as three ints over a positive denominator: stereographic
+    lifts of random plane points (whose ints share factors of their own),
+    axes, Pythagorean vectors with zero components, each as is and with all
+    four ints times a common factor."""
+    base = [((1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, 1), 1), ((3, 0, -4), 5), ((0, 12, 5), 13),
+            ((2, -2, 1), 3), ((1925, 2052, 1680), 3277)]
+    for _ in range(200):
+        a, c = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+        b, e = rng.randint(1, 10**6), rng.randint(1, 10**6)
+        be, ae, cb = b * e, a * e, c * b
+        base.append(((2 * ae * be, 2 * cb * be, be * be - ae * ae - cb * cb), be * be + ae * ae + cb * cb))
+    return [(tuple(k * c for c in num), k * den) for num, den in base for k in (1, 2, 6, rng.randint(2, 10**9))]
+
+
+def test_private_unit_constructor_matches_public_one():
+    # _unit(num, den) against UnitVectorQ of the same Fractions: equal, equal
+    # hashes, and the same ints in lowest common denominator form
+    cases = unit_int_vectors(random.Random(2718))
+    assert any(den % 6 == 0 and all(c % 6 == 0 for c in num) for num, den in cases)
+    assert any(0 in num for num, _ in cases)
+    for num, den in cases:
+        public = UnitVectorQ(Vec3Q(*(Fraction(c, den) for c in num)))
+        for private in (contextuality._unit(num, den), contextuality._unit(num, den, public.v)):
+            assert private == public and hash(private) == hash(public), (num, den)
+            assert (private._num, private._den) == (public._num, public._den), (num, den)
+            assert type(private._num) is tuple
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [((1, 1, 0), 1), ((0, 0, 0), 1), ((3, 4, 0), 6), ((6, 8, 0), 5), ((10**4400, 0, 0), 10**4400 - 1)],
+    ids=["too-long", "zero", "too-short-shared-factor", "too-long-coprime", "over-4300-digits"],
+)
+def test_private_unit_constructor_rejects_like_public_one(num, den):
+    with pytest.raises(ValueError) as public:
+        UnitVectorQ(Vec3Q(*(Fraction(c, den) for c in num)))
+    with pytest.raises(ValueError) as private:
+        contextuality._unit(num, den)
+    assert str(private.value) == str(public.value)
+
+
 def test_observable_shape():
     a = make_observable(UnitVectorQ(E_X))
     assert a == Mat3Q(((1, 0, 0), (0, -1, 0), (0, 0, -1)))

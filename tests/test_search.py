@@ -22,6 +22,7 @@ from rational_kcbs.contextuality import (
 )
 from rational_kcbs.hv_models import is_violation
 from rational_kcbs.linalg3 import E_X, E_Y, E_Z, Vec3Q, cross, dot, norm_sq
+from rational_kcbs.rationals import format_rational
 from rational_kcbs.search import (
     MAX_MN,
     CircleParams,
@@ -297,6 +298,31 @@ class TestBestRationalApprox:
             max_den = rng.randint(1, 30)
             assert best_rational_approx(x, max_den) == exhaustive_best(x, max_den)
 
+    def test_integer_routine_matches_limit_denominator(self):
+        # the integer continued fraction against the standard library's
+        # Fraction routine, applied to -x for x < 0: seeded floats of every
+        # magnitude from 1e-12 to 1e12, signed zeros, the smallest subnormal,
+        # the ties +-0.5 and +-2.5 at max_den 1, and inputs whose denominator
+        # already fits (integers, dyadics, small Fractions)
+        bounds = (1, 2, 3, 10, 600, 10**6, 10**9, 10**18)
+        rng = random.Random(31337)
+        cases = [(math.copysign(10 ** rng.uniform(-12, 12), rng.random() - 0.5), bounds[k % len(bounds)])
+                 for k in range(100_000)]
+        cases += [(x, m) for x in (0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 2.5, -2.5) for m in bounds]
+        cases += [(x, m) for x in (3.0, -7.0, 2.0**60, 0.375, -0.375, 1 - 2**-53) for m in bounds]
+        cases += [(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 1000)), m) for m in bounds for _ in range(100)]
+        fits = 0
+        for x, max_den in cases:
+            n, d = x.as_integer_ratio()
+            fx = Fraction(n, d)
+            expected = -(-fx).limit_denominator(max_den) if fx < 0 else fx.limit_denominator(max_den)
+            assert search_module._best_ratio(n, d, max_den) == (expected.numerator, expected.denominator), (x, max_den)
+            assert best_rational_approx(x, max_den) == expected
+            fits += d <= max_den
+        assert fits > 1000
+        # a tie keeps the convergent: 0 for +-0.5 and +-2 for +-2.5
+        assert [best_rational_approx(x, 1) for x in (0.5, -0.5, 2.5, -2.5)] == [0, 0, 2, -2]
+
     def test_errors(self):
         with pytest.raises(ValueError):
             best_rational_approx(0.5, 0)
@@ -506,6 +532,9 @@ class TestRationalizeState:
         for bad in ([0.0, 0.0, math.nan], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]):
             with pytest.raises(ValueError, match="norm"):
                 rationalize_state(bad, 10)
+        for max_den in (0, -1):
+            with pytest.raises(ValueError, match="max_den"):
+                rationalize_state([1.0, 0.0, 0.0], max_den)
 
 
 # --------------------------------------------------------------------- search
@@ -618,6 +647,29 @@ class TestSearch:
         # refused before the scan of the O(max_mn^4) unordered pairs starts
         with pytest.raises(ValueError, match="max_mn"):
             search(MAX_MN + 1, 10, 1)
+
+
+# search(max_mn, max_den, top_k) for each recorded max_den, recorded once from
+# the program before its snap and pentagon assembly moved to integers: every
+# hit's params, exact state, directions and value as text, in order
+SEARCH_GOLDEN = json.loads((Path(__file__).parent / "data" / "search_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("request_", SEARCH_GOLDEN["requests"], ids=lambda r: f"max_den={r['max_den']}")
+def test_search_matches_golden(request_):
+    def text(v):
+        return [format_rational(c) for c in v.as_tuple()]
+
+    hits = search(SEARCH_GOLDEN["max_mn"], request_["max_den"], SEARCH_GOLDEN["top_k"])
+    assert [
+        {
+            "params": [[p.m, p.n] for p in h.params],
+            "state": text(h.scenario.state.v),
+            "vectors": [text(u.v) for u in h.scenario.vectors],
+            "value": format_rational(h.value),
+        }
+        for h in hits
+    ] == request_["hits"]
 
 
 def closable_pairs(max_mn):
