@@ -11,6 +11,10 @@ Config file schema (UTF-8 JSON)::
 
     {"state": ["354/527", "357/527", "-158/527"],
      "vectors": [["1", "0", "0"], ...]}
+
+Each triple of fraction strings is read straight into a ``Vec3Q``'s ints
+over the lcm of its denominators; reading and validating a config builds no
+Fraction.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .contextuality import (
     CycleScenario,
@@ -30,8 +35,8 @@ from .contextuality import (
     validate_cycle,
 )
 from .hv_models import classical_min_cycle, is_violation
-from .linalg3 import Vec3Q, _int_mat_mul, _ints
-from .rationals import format_rational, parse_rational, to_decimal
+from .linalg3 import Vec3Q, _int_mat_mul, _ints, _vec
+from .rationals import _ratio, format_rational, to_decimal
 from .search import search
 
 DEFAULT_DIGITS = 3
@@ -50,9 +55,11 @@ def _parse_triple(raw: object, what: str) -> Vec3Q:
     if not isinstance(raw, list) or len(raw) != 3 or not all(isinstance(c, str) for c in raw):
         raise ConfigError(f"{what} must be a list of 3 fraction strings, got {raw!r}")
     try:
-        return Vec3Q(*(parse_rational(c) for c in raw))
+        (p0, q0), (p1, q1), (p2, q2) = [_ratio(c) for c in raw]
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+    den = lcm(q0, q1, q2)
+    return _vec((p0 * (den // q0), p1 * (den // q1), p2 * (den // q2)), den)
 
 
 def _object_once(pairs: list[tuple[str, object]]) -> dict[str, object]:

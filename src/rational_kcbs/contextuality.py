@@ -3,14 +3,13 @@
 A scenario is a unit state plus an odd cycle of unit directions whose
 adjacent pairs (indices mod n) are exactly orthogonal.  The unit type
 ``UnitVectorQ`` (for the state and for every direction) owns the norm
-check and the vector's integer form: three ints over one denominator,
-computed once at construction (``_unit`` builds one straight from such ints,
-with the same check).  ``CycleScenario`` owns the rest.  Each
-direction v carries the dichotomic observable ``2|v><v| - 1`` with outcomes
-+-1, held as that ``Mat3Q`` and built straight from the direction's ints
-(``make_observable``); adjacent orthogonality makes adjacent
-observables commute, so each adjacent pair is jointly measurable and the
-cycle correlation sum is well defined.  The pentagon (n = 5) is the default;
+check, made on the three ints over one denominator that its ``Vec3Q``
+holds (``_unit`` builds one straight from such ints); ``CycleScenario``
+owns the rest.  Each direction v carries the dichotomic observable
+``2|v><v| - 1`` with outcomes +-1, held as that ``Mat3Q`` and built straight
+from the direction's ints (``make_observable``); adjacent orthogonality makes
+adjacent observables commute, so each adjacent pair is jointly measurable and
+the cycle correlation sum is well defined.  The pentagon (n = 5) is the default;
 everything here works for any odd n >= 3 because the bound logic is
 identical.  Norm and adjacency checks are integer dot products.
 
@@ -21,7 +20,7 @@ as ints over one denominator, so each correlator is one integer dot product
 and the sum is those products over the lcm of their denominators.
 ``kcbs_value_via_projections`` uses the orthogonal-pair identity
 ``<A_i A_{i+1}> = 1 - 2<P_i> - 2<P_{i+1}>`` with ``<P_i> = (v_i . psi)^2``,
-from dot products alone, on integers it derives itself from the components.
+from dot products alone, on the components' own ints.
 Agreement of the two routes is an end-to-end check; the first is primary.
 """
 
@@ -31,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from .linalg3 import (
     E_X,
@@ -40,8 +39,8 @@ from .linalg3 import (
     Vec3Q,
     _int_dot,
     _int_mat_vec,
-    _ints,
     _mat,
+    _vec,
     norm_sq,
 )
 from .rationals import format_rational
@@ -66,49 +65,24 @@ class CycleValidationError(ValueError):
 @dataclass(frozen=True)
 class UnitVectorQ:
     """A rational unit vector, a direction or a qutrit state: norm_sq exactly
-    1, enforced at construction.
-
-    Construction also keeps the components as three ints over their least
-    common denominator (``_num``, ``_den``), the form every exact check and
-    the primary evaluation route compute on.
-    """
+    1, enforced at construction on the ints of v (x^2 + y^2 + z^2 == d^2),
+    which every exact check and the primary evaluation route compute on."""
 
     v: Vec3Q
 
     def __post_init__(self):
-        num, den = _ints(self.v.as_tuple())
+        num, den = self.v._num, self.v._den
         length_sq = _int_dot(num, num)
         if length_sq != den * den:
             raise ValueError(
                 f"not a unit vector: |v|^2 = {format_rational(Fraction(length_sq, den * den))}"
             )
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
 
 
-def _unit(num: tuple[int, int, int], den: int, v: Vec3Q | None = None) -> UnitVectorQ:
-    """``UnitVectorQ`` of the three ints num over den > 0, with the ints
-    divided by gcd(den, *num): the lowest common denominator form the public
-    constructor computes.  v, when given, is that same vector already as
-    Fractions.  Raises the public constructor's ValueError unless
-    |num|^2 = den^2; the public constructor keeps its own inline check, so
-    validating a config costs no extra call."""
-    length_sq = _int_dot(num, num)
-    if length_sq != den * den:
-        raise ValueError(
-            f"not a unit vector: |v|^2 = {format_rational(Fraction(length_sq, den * den))}"
-        )
-    g = gcd(den, *num)
-    if g != 1:
-        num = tuple([c // g for c in num])
-        den //= g
-    if v is None:
-        v = Vec3Q(Fraction(num[0], den), Fraction(num[1], den), Fraction(num[2], den))
-    u = object.__new__(UnitVectorQ)
-    object.__setattr__(u, "v", v)
-    object.__setattr__(u, "_num", num)
-    object.__setattr__(u, "_den", den)
-    return u
+def _unit(num: tuple[int, int, int], den: int) -> UnitVectorQ:
+    """``UnitVectorQ`` of the three ints num over den > 0; raises its
+    ValueError unless |num|^2 = den^2."""
+    return UnitVectorQ(_vec(num, den))
 
 
 def make_observable(v: UnitVectorQ) -> Mat3Q:
@@ -119,8 +93,8 @@ def make_observable(v: UnitVectorQ) -> Mat3Q:
     trace -1, and squares to the identity; all three follow exactly from
     |v|^2 = 1, which the type guarantees.
     """
-    x, y, z = v._num
-    d2 = v._den * v._den
+    x, y, z = v.v._num
+    d2 = v.v._den * v.v._den
     xy, xz, yz = 2 * x * y, 2 * x * z, 2 * y * z
     return _mat((2 * x * x - d2, xy, xz, xy, 2 * y * y - d2, yz, xz, yz, 2 * z * z - d2), d2)
 
@@ -140,7 +114,7 @@ def check_cycle_vectors(vectors: Sequence[UnitVectorQ]) -> None:
     _check_length(n)
     for i in range(n):
         j = (i + 1) % n
-        u, w = vectors[i], vectors[j]
+        u, w = vectors[i].v, vectors[j].v
         d = _int_dot(u._num, w._num)
         if d != 0:
             raise CycleValidationError(
@@ -179,7 +153,7 @@ class CycleScenario:
     @cached_property
     def _images(self) -> tuple[tuple[tuple[int, int, int], int], ...]:
         """Each A_i psi once, as three ints over one denominator."""
-        psi = self.state
+        psi = self.state.v
         return tuple(_int_mat_vec(a, psi._num, psi._den) for a in self.observables)
 
 
@@ -243,14 +217,14 @@ def kcbs_value_via_projections(s: CycleScenario) -> Fraction:
 
     Valid because adjacent orthogonality kills the P_i P_{i+1} cross terms.
     Used as an oracle against ``kcbs_value``, never as the primary path: it
-    takes its ints from the components, not from the scenario's cached forms.
-    With v_i . psi = t_i / (d_i d) and L = lcm(d_i), the sum of squares is
+    reads the components' ints, nothing the scenario caches.  With
+    v_i . psi = t_i / (d_i d) and L = lcm(d_i), the sum of squares is
     sum_i (t_i L / d_i)^2 / (L d)^2, one Fraction.
     """
-    psi, d = _ints(s.state.v.as_tuple())
-    terms = [_ints(u.v.as_tuple()) for u in s.vectors]
-    big = lcm(*(den for _, den in terms))
-    total = sum((_int_dot(num, psi) * (big // den)) ** 2 for num, den in terms)
+    state = s.state.v
+    psi, d = state._num, state._den
+    big = lcm(*[u.v._den for u in s.vectors])
+    total = sum([(_int_dot(u.v._num, psi) * (big // u.v._den)) ** 2 for u in s.vectors])
     scale = (big * d) ** 2
     return Fraction(s.n * scale - 4 * total, scale)
 

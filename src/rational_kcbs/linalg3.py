@@ -2,21 +2,22 @@
 
 Dimension is fixed at 3 throughout the package, which keeps every invariant
 total and every operation a fixed handful of exact products.  A ``Vec3Q``
-holds three Fractions and has no arithmetic of its own: ``dot``, ``norm_sq``
-and ``cross`` are what certificates need.  A ``Mat3Q`` holds nine ints over
-one positive denominator in lowest terms, so matrix products and comparisons
-run on Python ints; a Fraction is built only where a value leaves the matrix
-(``rows`` and ``trace()``).  The private
-integer kernels ``_ints``, ``_int_dot`` and ``_int_mat_vec`` let callers keep
-a vector as three ints over one denominator and build one Fraction at the
-end; ``_int_mat_mul`` gives a product as nine ints over the product of the
-two denominators, for callers that only compare it, and ``_mat`` builds a
-matrix straight from nine such ints.
+holds three ints over one positive denominator in lowest terms, and a
+``Mat3Q`` nine, so exact checks, products and comparisons run on Python ints;
+a Fraction is built only where a value leaves the type (``x``, ``y``, ``z``,
+``as_tuple()`` and ``rows``).  A vector has no arithmetic of its own: ``dot``,
+``norm_sq`` and ``cross`` are what certificates need.  The private
+constructors ``_vec`` and ``_mat`` build a value straight from such ints, and
+share one gcd reduction (``_fill``).  The private integer kernels ``_ints``,
+``_int_dot`` and ``_int_mat_vec`` let callers keep a vector as three ints over
+one denominator and build one Fraction at the end; ``_int_mat_mul`` gives a
+product as nine ints over the product of the two denominators, for callers
+that only compare it.
 Components are ints or Fractions.  Floats are rejected at construction:
 once a binary-rounded value sneaks in, no downstream result is exact
 anymore.  Strings are rejected too: fraction text is parsed once, at the
-wire format (``rationals.parse_rational``), so this module depends on
-nothing else in the package.
+wire format (``rationals``), so this module depends on nothing else in the
+package.
 
 The cross product is right-handed: ``cross(E_X, E_Y) == E_Z``.
 """
@@ -40,30 +41,8 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"exact rational required, got {type(value).__name__}: {value!r}")
 
 
-@dataclass(frozen=True)
-class Vec3Q:
-    """Immutable 3-vector with exact rational components."""
-
-    x: Fraction
-    y: Fraction
-    z: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_rational(self.x))
-        object.__setattr__(self, "y", as_rational(self.y))
-        object.__setattr__(self, "z", as_rational(self.z))
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.x, self.y, self.z)
-
-
-E_X = Vec3Q(1, 0, 0)
-E_Y = Vec3Q(0, 1, 0)
-E_Z = Vec3Q(0, 0, 1)
-
-
-def _fill(m: "Mat3Q", num: tuple[int, ...], den: int) -> "Mat3Q":
-    """Set m to num / den (nine row-major ints, den > 0) in lowest terms."""
+def _fill(m: "Vec3Q | Mat3Q", num: tuple[int, ...], den: int):
+    """Set m to num / den (row-major ints, den > 0) in lowest terms."""
     g = gcd(den, *num)
     if g != 1:
         num = tuple([e // g for e in num])
@@ -71,6 +50,51 @@ def _fill(m: "Mat3Q", num: tuple[int, ...], den: int) -> "Mat3Q":
     object.__setattr__(m, "_num", num)
     object.__setattr__(m, "_den", den)
     return m
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class Vec3Q:
+    """Immutable 3-vector with exact rational components.
+
+    Held as three ints over one positive denominator in lowest terms, so
+    equality and hashing compare ints; ``x``, ``y``, ``z`` and ``as_tuple()``
+    are the Fraction view.
+    """
+
+    # Slots declared here, not by ``dataclass(slots=True)``: that rebuilds
+    # the class, and the frozen ``__setattr__`` then raises TypeError, not
+    # FrozenInstanceError, for a name that is not a field (Python 3.11).
+    __slots__ = ("_num", "_den")
+    _num: tuple[int, int, int]
+    _den: int
+
+    def __init__(self, x: RationalLike, y: RationalLike, z: RationalLike):
+        _fill(self, *_ints([as_rational(x), as_rational(y), as_rational(z)]))
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self._num[0], self._den)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self._num[1], self._den)
+
+    @property
+    def z(self) -> Fraction:
+        return Fraction(self._num[2], self._den)
+
+    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
+        return (self.x, self.y, self.z)
+
+    def __repr__(self) -> str:
+        return f"Vec3Q(x={self.x!r}, y={self.y!r}, z={self.z!r})"
+
+    def __reduce__(self):  # copy and pickle cannot assign to a frozen slot
+        return _vec, (self._num, self._den)
+
+
+def _vec(num: tuple[int, int, int], den: int) -> Vec3Q:
+    return _fill(object.__new__(Vec3Q), num, den)
 
 
 def _mat(num: tuple[int, ...], den: int) -> "Mat3Q":
@@ -83,7 +107,12 @@ def _ints(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple([c.numerator * (den // c.denominator) for c in values]), den
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+E_X = Vec3Q(1, 0, 0)
+E_Y = Vec3Q(0, 1, 0)
+E_Z = Vec3Q(0, 0, 1)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class Mat3Q:
     """Immutable 3x3 matrix with exact rational entries, row-major.
 
@@ -92,6 +121,7 @@ class Mat3Q:
     ``rows`` is the Fraction view.
     """
 
+    __slots__ = ("_num", "_den")  # as for Vec3Q
     _num: tuple[int, ...]
     _den: int
 
@@ -108,13 +138,8 @@ class Mat3Q:
     def __repr__(self) -> str:
         return f"Mat3Q(rows={self.rows!r})"
 
-    @classmethod
-    def identity(cls) -> "Mat3Q":
-        return _mat((1, 0, 0, 0, 1, 0, 0, 0, 1), 1)
-
-    def trace(self) -> Fraction:
-        n = self._num
-        return Fraction(n[0] + n[4] + n[8], self._den)
+    def __reduce__(self):
+        return _mat, (self._num, self._den)
 
 
 def dot(u: Vec3Q, v: Vec3Q) -> Fraction:
@@ -123,7 +148,7 @@ def dot(u: Vec3Q, v: Vec3Q) -> Fraction:
 
 
 def norm_sq(v: Vec3Q) -> Fraction:
-    return dot(v, v)
+    return Fraction(_int_dot(v._num, v._num), v._den * v._den)
 
 
 def cross(u: Vec3Q, v: Vec3Q) -> Vec3Q:

@@ -23,8 +23,9 @@ from fractions import Fraction
 _FRACTION_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``[-]p`` or ``[-]p/q`` into a canonical Fraction.
+def _ratio(text: str) -> tuple[int, int]:
+    """Parse ``[-]p`` or ``[-]p/q`` into the ints (p, q), q > 0, as written:
+    not reduced.
 
     Raises ValueError for text outside the format and ZeroDivisionError for a
     zero denominator.
@@ -36,8 +37,14 @@ def parse_rational(text: str) -> Fraction:
         den = int(den_text)
         if den == 0:
             raise ZeroDivisionError(f"zero denominator in fraction text: {text!r}")
-        return Fraction(int(num_text), den)
-    return Fraction(int(num_text))
+        return int(num_text), den
+    return int(num_text), 1
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``[-]p`` or ``[-]p/q`` into a canonical Fraction; raises as
+    ``_ratio`` does."""
+    return Fraction(*_ratio(text))
 
 
 def _int_text(k: int) -> str:

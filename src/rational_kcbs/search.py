@@ -71,7 +71,7 @@ from .contextuality import (
     kcbs_value,
 )
 from .hv_models import is_violation
-from .linalg3 import E_X, E_Y, Vec3Q
+from .linalg3 import E_X, E_Y
 
 EIGEN_RESIDUAL_TOL = 1e-12
 # Largest max_mn of a search: of the about 2e6 pairs of distinct parameters
@@ -176,8 +176,8 @@ def build_pentagon(p1: CircleParams, p2: CircleParams) -> list[UnitVectorQ] | No
     odd1, even1, hyp1 = t1
     odd2, even2, hyp2 = t2
     return [
-        _unit((1, 0, 0), 1, E_X),
-        _unit((0, 1, 0), 1, E_Y),
+        UnitVectorQ(E_X),
+        UnitVectorQ(E_Y),
         _unit((even1, 0, -odd1), hyp1),
         _unit(v3, root),
         _unit((0, even2, -odd2), hyp2),
@@ -287,7 +287,7 @@ def optimal_state_numeric(vectors: Sequence[UnitVectorQ]) -> tuple[Float3, float
     """
     check_cycle_vectors(vectors)
     n = len(vectors)
-    coords = list(zip(*[[c / u._den for c in u._num] for u in vectors]))  # all x, all y, all z
+    coords = list(zip(*[[c / u.v._den for c in u.v._num] for u in vectors]))  # all x, all y, all z
     g = [0.0] * 9
     for j, k in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):  # G is symmetric
         g[3 * j + k] = g[3 * k + j] = math.fsum([x * y for x, y in zip(coords[j], coords[k])])
@@ -367,9 +367,8 @@ def primitive_params(max_mn: int) -> list[CircleParams]:
 
 
 def _swap_xy(u: UnitVectorQ) -> UnitVectorQ:
-    x, y, z = u._num
-    v = u.v
-    return _unit((y, x, z), u._den, Vec3Q(v.y, v.x, v.z))
+    x, y, z = u.v._num
+    return _unit((y, x, z), u.v._den)
 
 
 def _mirrored(scenario: CycleScenario) -> CycleScenario:

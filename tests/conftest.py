@@ -1,7 +1,7 @@
 """Shared fixture data: the bundled reference configuration spelled out as
 integer literals, so tests cross-check the packaged constants instead of
-echoing them, and seeded generators of rationals, rotations and odd
-cycles."""
+echoing them, and seeded generators of rationals, wire-format fraction
+texts, rotations and odd cycles."""
 
 from __future__ import annotations
 
@@ -45,6 +45,27 @@ def rand_fraction(rng: random.Random, max_num: int = 60, max_den: int = 40) -> F
 
 def rand_vec(rng: random.Random) -> Vec3Q:
     return Vec3Q(rand_fraction(rng), rand_fraction(rng), rand_fraction(rng))
+
+
+def rand_wire_text(rng: random.Random) -> str:
+    """A fraction text in the config wire format: signs ``+``/``-`` (so
+    ``-0`` too), leading zeros, zero numerators over any denominator,
+    integers with and without ``/1``, and fractions of up to about 40 digits
+    left unreduced by a random common factor."""
+    sign = rng.choice(("", "", "+", "-"))
+    kind = rng.randrange(4)
+    if kind == 0:
+        num, den = 0, rng.choice((1, rng.randint(1, 50)))
+    elif kind == 1:
+        num, den = rng.randint(0, 9), 1
+    else:
+        num, den = rng.randint(0, 10 ** rng.randint(1, 40)), rng.randint(1, 10 ** rng.randint(1, 40))
+        k = rng.choice((1, 2, 6, rng.randint(2, 10**6)))
+        num, den = num * k, den * k
+    text = sign + "0" * rng.choice((0, 0, 0, 1, 3)) + str(num)
+    if den == 1 and rng.random() < 0.5:
+        return text
+    return text + "/" + "0" * rng.choice((0, 0, 1)) + str(den)
 
 
 def rotation(a, b, c, d):

@@ -1,5 +1,5 @@
 """Exact test oracles on plain rows of Fractions: matrix products, the
-observables 2 v v^T - I, the Gram matrix, the cycle operator and its
+identity and the trace, the observables 2 v v^T - I, the Gram matrix, the cycle operator and its
 quadratic form, the z-mirrored pentagons, the stereographic chart and its
 inverse, and a report's exact re-checks (``report_checks_rows``).  They share nothing with the program's integer matrix kernel;
 tests check its routes against them.  ``closing_pairs_scan`` is the plain
@@ -16,11 +16,22 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from rational_kcbs.contextuality import UnitVectorQ, check_cycle_vectors
-from rational_kcbs.linalg3 import Vec3Q, dot
+from rational_kcbs.linalg3 import Mat3Q, Vec3Q, dot
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
 IDENTITY_ROWS: Rows = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
+
+
+def identity_mat() -> Mat3Q:
+    """The 3x3 identity, built from its Fraction rows."""
+    return Mat3Q(IDENTITY_ROWS)
+
+
+def trace(m: Mat3Q) -> Fraction:
+    """The trace of m, summed from its Fraction rows."""
+    rows = m.rows
+    return rows[0][0] + rows[1][1] + rows[2][2]
 
 
 def ref_mul(a: Rows, b: Rows) -> Rows:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rational_kcbs import cli, contextuality, linalg3
+from rational_kcbs import cli, contextuality, linalg3, rationals
 from rational_kcbs.cli import MAX_BOUND_N, MAX_DIGITS, main
 from rational_kcbs.contextuality import (
     CycleValidationError,
@@ -24,8 +24,8 @@ from rational_kcbs.contextuality import (
 from rational_kcbs.linalg3 import Mat3Q, Vec3Q, dot, mat_mul
 from rational_kcbs.rationals import format_rational, parse_rational
 from rational_kcbs.search import stereo_lift
-from tests.conftest import REF_KCBS_VALUE, odd_cycle, rand_fraction, rotation
-from tests.oracles import report_checks_rows
+from tests.conftest import REF_KCBS_VALUE, odd_cycle, rand_fraction, rand_wire_text, rotation
+from tests.oracles import identity_mat, report_checks_rows
 
 REF_CONFIG = {
     "state": ["354/527", "357/527", "-158/527"],
@@ -161,7 +161,7 @@ def _checks_breaking(key):
         # diagonal, so every pair commutes; trace -1, but squares to diag(4, 1, 4)
         s.__dict__["observables"] = (flip,) * 4 + (_diagonal(2, -1, -2),)
     elif key == "observables_trace_minus_one":
-        s.__dict__["observables"] = (flip,) * 4 + (Mat3Q.identity(),)
+        s.__dict__["observables"] = (flip,) * 4 + (identity_mat(),)
     elif key == "adjacent_observables_commute":
         # a genuine observable that does not commute with its neighbour 2|e_x><e_x| - 1
         tilted = make_observable(UnitVectorQ(Vec3Q(Fraction(3, 5), Fraction(4, 5), 0)))
@@ -237,7 +237,7 @@ def test_report_checks_match_fraction_rows_oracle(tmp_path):
     cases += [
         _with_observables(*(OBLIQUE_REFLECTION,) * 5),
         _with_observables(SHEAR, SHEAR_SCALED, SHEAR_CLOSING),
-        _with_observables(SHEAR, Mat3Q.identity()),
+        _with_observables(SHEAR, identity_mat()),
     ]
     for s, value, corrs in cases:
         assert cli._run_checks(s, value, corrs) == report_checks_rows(s, value, corrs)
@@ -458,6 +458,80 @@ def test_malformed_config_exits_2(capsys, tmp_path, data):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            config_variant(state=["1" * 5000, "0", "0"]),
+            "state: Exceeds the limit (4300 digits) for integer string conversion: "
+            "value has 5000 digits",
+        ),
+        (
+            config_variant(vectors=REF_CONFIG["vectors"][:3] + [["1", "0", "1/" + "7" * 4301]]),
+            "vectors[3]: Exceeds the limit (4300 digits) for integer string conversion: "
+            "value has 4301 digits",
+        ),
+        # every triple is parsed before any invariant is checked, so a
+        # malformed vector exits 2 even where the state is not unit
+        (
+            config_variant(state=["1", "1", "0"], vectors=REF_CONFIG["vectors"][:4] + [["0", "1/0", "0"]]),
+            "vectors[4]: zero denominator in fraction text: '1/0'",
+        ),
+        (
+            config_variant(state=["1", "1", "0"], vectors=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "x"]]),
+            "vectors[2]: malformed fraction text: 'x'",
+        ),
+    ],
+    ids=["state-over-4300-digits", "denominator-over-4300-digits", "zero-denominator", "malformed"],
+)
+def test_component_errors_exit_2_with_the_parse_message(capsys, tmp_path, command, data, message):
+    code, out, err = run_cli(capsys, command, write_config(tmp_path, data))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+def wire_triples(rng: random.Random) -> list[list[str]]:
+    """Fixed and seeded triples of fraction texts: zeros, signs, leading
+    zeros, unreduced fractions and components sharing factors."""
+    fixed = [["0", "0", "0"], ["-0", "+0", "0/5"], ["2/4", "6/4", "0"], ["6/9", "-12/9", "3/9"],
+             ["10/6", "4/6", "14/6"], ["354/527", "357/527", "-158/527"], ["1", "+00/7", "-1/1"]]
+    return fixed + [[rand_wire_text(rng) for _ in range(3)] for _ in range(3000)]
+
+
+def test_parse_triple_ints_match_parsed_fractions():
+    # the vector's ints are _ints of the three parsed Fractions: over the
+    # lcm of their denominators, in lowest terms
+    for raw in wire_triples(random.Random(1729)):
+        v = cli._parse_triple(raw, "state")
+        fractions = [parse_rational(c) for c in raw]
+        assert (v._num, v._den) == linalg3._ints(fractions), raw
+        assert type(v._num) is tuple and v == Vec3Q(*fractions), raw
+
+
+def test_reading_and_validating_a_config_builds_no_fraction(tmp_path, monkeypatch):
+    rng = random.Random(23)
+    configs = [REF_CONFIG, DEGENERATE_CONFIG]
+    for n, state in ((7, rotation(1, 2, 3, 4)[0]), (23, rotation(3, 1, 1, 2)[1])):
+        cycle = [u.v for u in odd_cycle(rng, n)]
+        configs.append(cli.scenario_config(validate_cycle(state, cycle)))
+    paths = [write_config(tmp_path, data, f"{i}.json") for i, data in enumerate(configs)]
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return Fraction(*args, **kwargs)
+
+    for module in (rationals, linalg3, contextuality, cli):
+        monkeypatch.setattr(module, "Fraction", Counting)
+    for path in paths:
+        state, vectors = cli.load_config(path)
+        validate_cycle(state, vectors)
+    assert built == []
+    assert parse_rational("6/4") == Fraction(3, 2) and built == [(6, 4)]  # the patch is seen
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

@@ -29,7 +29,15 @@ from rational_kcbs.linalg3 import (
 )
 from rational_kcbs.search import stereo_lift
 from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, odd_cycle, rand_fraction
-from tests.oracles import cycle_operator, observable_rows, outer_rows, quadratic_form, ref_vec
+from tests.oracles import (
+    cycle_operator,
+    identity_mat,
+    observable_rows,
+    outer_rows,
+    quadratic_form,
+    ref_vec,
+    trace,
+)
 
 DEGENERATE_VECTORS = (E_X, E_Y, E_X, E_Y, E_Z)
 
@@ -65,8 +73,8 @@ def test_unit_vector_error_formats_huge_norm():
 
 
 def test_unit_vector_value_semantics():
-    # the integer form kept at construction shows in no field, comparison,
-    # hash or repr
+    # the unit type adds no field of its own to the vector's, nor to its
+    # comparison, hash or repr
     u = UnitVectorQ(Vec3Q(Fraction(3, 5), Fraction(4, 5), 0))
     same = UnitVectorQ(Vec3Q(Fraction(6, 10), Fraction(8, 10), Fraction(0, 7)))
     assert [f.name for f in dataclasses.fields(u)] == ["v"]
@@ -100,10 +108,10 @@ def test_private_unit_constructor_matches_public_one():
     assert any(0 in num for num, _ in cases)
     for num, den in cases:
         public = UnitVectorQ(Vec3Q(*(Fraction(c, den) for c in num)))
-        for private in (contextuality._unit(num, den), contextuality._unit(num, den, public.v)):
-            assert private == public and hash(private) == hash(public), (num, den)
-            assert (private._num, private._den) == (public._num, public._den), (num, den)
-            assert type(private._num) is tuple
+        private = contextuality._unit(num, den)
+        assert private == public and hash(private) == hash(public), (num, den)
+        assert (private.v._num, private.v._den) == (public.v._num, public.v._den), (num, den)
+        assert type(private.v._num) is tuple
 
 
 @pytest.mark.parametrize(
@@ -136,8 +144,8 @@ def test_observable_invariants():
     for v in directions:
         m = make_observable(UnitVectorQ(v))
         assert m.rows == tuple(zip(*m.rows))
-        assert m.trace() == -1
-        assert mat_mul(m, m) == Mat3Q.identity()
+        assert trace(m) == -1
+        assert mat_mul(m, m) == identity_mat()
 
 
 def test_projector_idempotent():
@@ -145,7 +153,7 @@ def test_projector_idempotent():
     v = Vec3Q(*REF_VECTORS_RAW[3])
     p = Mat3Q(outer_rows(v, v))
     assert mat_mul(p, p) == p
-    assert p.trace() == 1
+    assert trace(p) == 1
 
 
 # ----------------------------------------------------------------- validation
@@ -232,8 +240,9 @@ def test_validation_checks_each_invariant_once(monkeypatch):
     units = (s.state,) + s.vectors
     norms = [u for u, w in dots if u is w]
     adjacencies = [(u, w) for u, w in dots if u is not w]
-    assert norms == [x._num for x in units]
-    assert adjacencies == [(s.vectors[i]._num, s.vectors[(i + 1) % 5]._num) for i in range(5)]
+    assert len(dots) == 11
+    assert norms == [x.v._num for x in units]
+    assert adjacencies == [(s.vectors[i].v._num, s.vectors[(i + 1) % 5].v._num) for i in range(5)]
     assert calls == {"norm_sq": 0}  # the Fraction norm only words an error
 
 
@@ -352,6 +361,19 @@ def test_correlators_match_fraction_rows_oracle():
             a, b = s.observables[i], s.observables[j]
             assert correlator(s, i) == dot(rotated(a.rows, state), rotated(b.rows, state))
         assert kcbs_value(s) == kcbs_value_via_projections(s)
+
+
+def test_projection_route_reads_nothing_the_scenario_caches():
+    # the two routes stay independent: the projection route takes its ints
+    # from the components, so replacing the cached observables or images
+    # moves the primary route and leaves it alone
+    other = validate_cycle(E_Z, DEGENERATE_VECTORS)
+    for cached in ("observables", "_images"):
+        s = reference_scenario()
+        assert kcbs_value_via_projections(s) == REF_KCBS_VALUE
+        s.__dict__[cached] = getattr(other, cached)
+        assert kcbs_value_via_projections(s) == REF_KCBS_VALUE
+        assert kcbs_value(s) != REF_KCBS_VALUE
 
 
 def test_kcbs_value_matches_correlators_and_fraction_rows_oracle():

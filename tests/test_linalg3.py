@@ -1,4 +1,9 @@
+import copy
+import dataclasses
+import math
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,13 +17,14 @@ from rational_kcbs.linalg3 import (
     _int_dot,
     _int_mat_vec,
     _ints,
+    _vec,
     cross,
     dot,
     mat_mul,
     norm_sq,
 )
 from tests.conftest import REF_STATE_RAW, REF_VECTORS_RAW, rand_vec
-from tests.oracles import observable_rows, quadratic_form, ref_mul, ref_vec
+from tests.oracles import identity_mat, observable_rows, quadratic_form, ref_mul, ref_vec, trace
 
 
 ZERO = Vec3Q(0, 0, 0)
@@ -28,6 +34,78 @@ def test_component_coercion():
     v = Vec3Q(1, 0, Fraction(3, 5))
     assert v.x == Fraction(1) and isinstance(v.x, Fraction)
     assert v.z == Fraction(3, 5)
+
+
+def test_vector_value_semantics():
+    # the public behaviour of Vec3Q, whatever form it keeps its components in
+    v = Vec3Q(Fraction(6, 10), Fraction(-8, 10), 0)
+    same = Vec3Q(x=Fraction(3, 5), y=Fraction(-4, 5), z=Fraction(0, 7))
+    assert v == same and hash(v) == hash(same)
+    assert len({v, same, Vec3Q(Fraction(3, 5), y=Fraction(-4, 5), z=0)}) == 1
+    assert v != Vec3Q(Fraction(-4, 5), Fraction(3, 5), 0)
+    assert v != v.as_tuple() and v != E_X
+    assert repr(v) == "Vec3Q(x=Fraction(3, 5), y=Fraction(-4, 5), z=Fraction(0, 1))"
+    assert repr(E_Z) == "Vec3Q(x=Fraction(0, 1), y=Fraction(0, 1), z=Fraction(1, 1))"
+    for name in ("x", "y", "z"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, Fraction(1))
+    assert v.as_tuple() == (Fraction(3, 5), Fraction(-4, 5), 0)
+
+
+def test_values_copy_and_pickle_and_refuse_assignment():
+    m = Mat3Q(((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 3)))
+    for value in (Vec3Q(Fraction(6, 10), Fraction(-8, 10), 0), E_X, m, identity_mat()):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    for name in ("rows", "_num", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        E_X.other = 1
+
+
+def test_vector_components_are_lowest_terms_fractions():
+    rng = random.Random(7070)
+    for _ in range(300):
+        given = [rand_entry(rng) for _ in range(3)]
+        raw = [Fraction(c.numerator * k, c.denominator * k) if rng.random() < 0.5 else c
+               for c, k in zip(given, (rng.randint(1, 10**6) for _ in range(3)))]
+        v = Vec3Q(*[c.numerator if c.denominator == 1 and rng.random() < 0.5 else c for c in raw])
+        assert v.as_tuple() == (v.x, v.y, v.z) == tuple(given)
+        for c in v.as_tuple():
+            assert type(c) is Fraction
+            assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+@pytest.mark.parametrize(
+    "bad, text",
+    [(0.5, "float: 0.5"), ("3/5", "str: '3/5'"), (None, "NoneType: None"),
+     (complex(1, 0), "complex: (1+0j)")],
+)
+def test_vector_rejects_inexact_components(bad, text):
+    for args in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+        with pytest.raises(TypeError, match=re.escape(f"exact rational required, got {text}")):
+            Vec3Q(*args)
+    with pytest.raises(TypeError, match=re.escape(f"exact rational required, got {text}")):
+        Vec3Q(x=1, y=0, z=bad)
+
+
+def test_private_vector_constructor_matches_public_one():
+    # _vec(num, den) against Vec3Q of the same Fractions: equal, equal hashes
+    # and the same ints, reduced by gcd(den, *num) whatever factor the four
+    # ints share
+    rng = random.Random(8080)
+    cases = [((0, 0, 0), 1), ((0, 0, 0), 12), ((2, 6, 0), 4), ((6, -12, 3), 9), ((-5, 0, 5), 5)]
+    for _ in range(500):
+        num = tuple(rng.choice((0, rng.randint(-10**30, 10**30), rng.randint(-9, 9))) for _ in range(3))
+        k = rng.choice((1, 2, 6, rng.randint(2, 10**9)))
+        cases.append((tuple(k * c for c in num), k * rng.randint(1, 10**20)))
+    for num, den in cases:
+        public = Vec3Q(*(Fraction(c, den) for c in num))
+        private = _vec(num, den)
+        assert private == public and hash(private) == hash(public), (num, den)
+        assert (private._num, private._den) == (public._num, public._den) == _ints(public.as_tuple())
+        assert type(private._num) is tuple
 
 
 def test_float_components_rejected():
@@ -103,8 +181,8 @@ def test_lagrange_identity():
 
 
 def test_matrix_constructors():
-    ident = Mat3Q.identity()
-    assert ident.trace() == 3
+    ident = identity_mat()
+    assert trace(ident) == 3
     assert ident.rows == tuple(zip(*ident.rows))
     d = Mat3Q(((1, 0, 0), (0, -1, 0), (0, 0, -1)))
     assert d.rows == ((1, 0, 0), (0, -1, 0), (0, 0, -1))
@@ -126,7 +204,7 @@ def test_matrix_algebra():
             )
         )
 
-    ident = Mat3Q.identity()
+    ident = identity_mat()
     for _ in range(50):
         a, b = rand_mat(), rand_mat()
         assert mat_mul(ident, a) == a == mat_mul(a, ident)
@@ -150,7 +228,7 @@ def test_reflection_observables_commute_on_orthogonal_pair():
     a0 = Mat3Q(observable_rows(Vec3Q(*REF_VECTORS_RAW[0])))
     a1 = Mat3Q(observable_rows(Vec3Q(*REF_VECTORS_RAW[1])))
     assert mat_mul(a0, a1) == mat_mul(a1, a0)
-    assert mat_mul(a0, a0) == Mat3Q.identity()
+    assert mat_mul(a0, a0) == identity_mat()
 
 
 # ------------------------------------------------ oracle for the matrix kernel
@@ -189,8 +267,6 @@ def test_kernel_matches_fraction_rows_oracle():
         assert a.rows == ra
         assert all(isinstance(e, Fraction) for row in a.rows for e in row)
         assert mat_mul(a, b).rows == ref_mul(ra, rb)
-        trace = a.trace()
-        assert isinstance(trace, Fraction) and trace == ra[0][0] + ra[1][1] + ra[2][2]
         assert (a == b) == (ra == rb) and a == Mat3Q(ra)
 
 
@@ -213,7 +289,7 @@ def test_integer_vector_kernels_match_fraction_rows_oracle():
 
 def test_equal_values_compare_and_hash_alike_by_any_route():
     rng = random.Random(4242)
-    ident = Mat3Q.identity()
+    ident = identity_mat()
     for _ in range(100):
         ra = rand_rows(rng)
         a = Mat3Q(ra)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from rational_kcbs.rationals import format_rational, parse_rational, to_decimal
+from rational_kcbs.rationals import _ratio, format_rational, parse_rational, to_decimal
+from tests.conftest import rand_wire_text
 
 
 class TestParse:
@@ -37,6 +38,39 @@ class TestParse:
     def test_zero_denominator(self, text):
         with pytest.raises(ZeroDivisionError):
             parse_rational(text)
+
+
+class TestWireInts:
+    """``_ratio``, the ints the config parser builds vectors from, against
+    the standard library's own reading of the text."""
+
+    def test_matches_fraction_of_the_text(self):
+        rng = random.Random(4300)
+        texts = [rand_wire_text(rng) for _ in range(3000)] + ["-0", "+0", "007/0021", "-0/5", "+12/18"]
+        for text in texts:
+            p, q = _ratio(text)
+            assert type(p) is int and type(q) is int and q > 0, text
+            assert Fraction(p, q) == Fraction(text) == parse_rational(text), text
+            num_text, _, den_text = text.partition("/")
+            assert (p, q) == (int(num_text), int(den_text or "1")), text  # as written
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "1.5", "1/2/3", " 1/2", "1/-2", "1_000", "٣", "1/0", "0/0", "-4/000",
+         "1" * 4301, "-" + "9" * 5000 + "/7", "7/" + "1" * 4301, "1" * 4301 + "/0"],
+    )
+    def test_raises_what_parse_rational_raises(self, text):
+        with pytest.raises((ValueError, ZeroDivisionError)) as public:
+            parse_rational(text)
+        with pytest.raises(type(public.value)) as private:
+            _ratio(text)
+        assert str(private.value) == str(public.value)
+
+    def test_digit_limit_message(self):
+        # a component beyond the interpreter's int-from-string limit keeps
+        # the interpreter's own message
+        with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300 digits\).*value has 5000 digits"):
+            _ratio("-" + "1" * 5000)
 
 
 class TestFormat:
