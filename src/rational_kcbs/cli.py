@@ -5,7 +5,9 @@ All fractions are serialized as strings in the ``p`` / ``p/q`` wire format,
 never as floating-point JSON numbers, so output re-parses to the exact
 computed values.  Exit codes: 0 success/valid, 1 validation failure (the
 failing invariant is named), 2 I/O, parse or argument error (JSON nested too
-deeply, holding an oversized number or repeating a key included).
+deeply, holding an oversized number or repeating a key included).  An
+argument error after a command name is reported with that command's own
+usage line (``rational-kcbs evaluate: error: ...``); ``-h`` exits 0.
 
 Config file schema (UTF-8 JSON)::
 
@@ -52,14 +54,16 @@ class ConfigError(ValueError):
 
 
 def _parse_triple(raw: object, what: str) -> Vec3Q:
-    if not isinstance(raw, list) or len(raw) != 3 or not all(isinstance(c, str) for c in raw):
-        raise ConfigError(f"{what} must be a list of 3 fraction strings, got {raw!r}")
-    try:
-        (p0, q0), (p1, q1), (p2, q2) = [_ratio(c) for c in raw]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
-    den = lcm(q0, q1, q2)
-    return _vec((p0 * (den // q0), p1 * (den // q1), p2 * (den // q2)), den)
+    if isinstance(raw, list) and len(raw) == 3:
+        c0, c1, c2 = raw
+        if isinstance(c0, str) and isinstance(c1, str) and isinstance(c2, str):
+            try:
+                (p0, q0), (p1, q1), (p2, q2) = _ratio(c0), _ratio(c1), _ratio(c2)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(f"{what}: {exc}") from exc
+            den = lcm(q0, q1, q2)
+            return _vec((p0 * (den // q0), p1 * (den // q1), p2 * (den // q2)), den)
+    raise ConfigError(f"{what} must be a list of 3 fraction strings, got {raw!r}")
 
 
 def _object_once(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -152,8 +156,11 @@ def build_report(s: CycleScenario, digits: int) -> dict:
     }
 
 
+_ENCODER = json.JSONEncoder(indent=2)  # what json.dumps(payload, indent=2) builds per call
+
+
 def _emit(payload: object) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_ENCODER.encode(payload) + "\n")
 
 
 def _note(message: str) -> None:
@@ -267,8 +274,9 @@ def _digits(text: str) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and each command's own parser by name, built
+    once per process."""
     parser = argparse.ArgumentParser(
         prog="rational-kcbs",
         description=(
@@ -297,11 +305,19 @@ def _build_parser() -> argparse.ArgumentParser:
     for cmd in (ref, evaluate, srch):
         cmd.add_argument("--digits", type=_digits, default=DEFAULT_DIGITS)
 
-    return parser
+    commands = {"reference": ref, "verify": verify, "evaluate": evaluate, "bound": bound, "search": srch}
+    return parser, commands
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def main(argv: list[str] | tuple[str, ...] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no command, a top-level option or an unknown name
+        args = parser.parse_args(argv)
+    else:  # the command's own parser reads the rest, as the top-level one would hand it on
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     try:
         # looked up per call, so the parser kept for the process binds no function
         return globals()[f"cmd_{args.command}"](args)

@@ -493,6 +493,33 @@ def test_component_errors_exit_2_with_the_parse_message(capsys, tmp_path, comman
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (config_variant(state="1/2"), "state must be a list of 3 fraction strings, got '1/2'"),
+        (config_variant(state={"x": "1"}), "state must be a list of 3 fraction strings, got {'x': '1'}"),
+        (config_variant(state=["1", "0"]), "state must be a list of 3 fraction strings, got ['1', '0']"),
+        (
+            config_variant(state=["1", "0", "0", "0"]),
+            "state must be a list of 3 fraction strings, got ['1', '0', '0', '0']",
+        ),
+        (config_variant(state=["1", 0, "0"]), "state must be a list of 3 fraction strings, got ['1', 0, '0']"),
+        (
+            config_variant(vectors=REF_CONFIG["vectors"][:2] + [["0", "0", None]]),
+            "vectors[2] must be a list of 3 fraction strings, got ['0', '0', None]",
+        ),
+        (
+            config_variant(vectors=REF_CONFIG["vectors"][:1] + [[["0"], "1", "0"]]),
+            "vectors[1] must be a list of 3 fraction strings, got [['0'], '1', '0']",
+        ),
+    ],
+    ids=["string", "object", "two-items", "four-items", "int-item", "null-item", "nested-list-item"],
+)
+def test_triple_shape_errors_exit_2_with_the_shape_message(capsys, tmp_path, data, message):
+    code, out, err = run_cli(capsys, "evaluate", write_config(tmp_path, data))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def wire_triples(rng: random.Random) -> list[list[str]]:
     """Fixed and seeded triples of fraction texts: zeros, signs, leading
     zeros, unreduced fractions and components sharing factors."""
@@ -766,28 +793,134 @@ def test_missing_command_exits_via_argparse(capsys):
     assert exc.value.code == 2
 
 
-def test_parser_is_built_once_per_process(capsys, monkeypatch):
+def test_parser_is_built_once_per_process(capsys, tmp_path, monkeypatch):
+    path = write_config(tmp_path, REF_CONFIG)
     built = []
     init = argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
-        if kwargs.get("prog") == "rational-kcbs":
-            built.append(self)
+        built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    cli._build_parser.cache_clear()
+    cli._parsers.cache_clear()
     assert run_cli(capsys, "bound", "--n", "5")[0] == 0
-    assert run_cli(capsys, "reference")[0] == 0
-    assert len(built) == 1
-    # an argument error leaves the kept parser usable
+    assert built.count("rational-kcbs") == 1
+    first = len(built)
+    # one request of each command through its own parser builds none
+    for argv in (["reference"], ["verify", path], ["evaluate", path], ["bound", "--n", "7"],
+                 ["search", "--max-mn", "2", "--max-den", "50"]):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert len(built) == first
+    # an argument error leaves the kept parsers usable
     with pytest.raises(SystemExit) as exc:
         main(["reference", "--digits", "-1"])
     assert exc.value.code == 2
     code, out, _ = run_cli(capsys, "reference")
     assert code == 0
     assert json.loads(out)["decimal"] == "-3.941"
-    assert len(built) == 1
+    assert len(built) == first
+
+
+# ------------------------------------------------------------- dispatch oracle
+
+# main hands argv[1:] of a known command straight to that command's own
+# parser.  The oracle is the top-level parser reading the whole argv, the
+# route main takes when its table of commands is empty.  CONFIG stands for a
+# valid config path, MISSING for a path that does not exist.
+DISPATCH_FORMS = {
+    "reference": ["reference"],
+    "reference-digits-equals": ["reference", "--digits=3"],
+    "verify": ["verify", "CONFIG"],
+    "evaluate": ["evaluate", "CONFIG"],
+    "evaluate-digits": ["evaluate", "CONFIG", "--digits", "5"],
+    "evaluate-digits-equals": ["evaluate", "CONFIG", "--digits=3"],
+    "evaluate-digits-first": ["evaluate", "--digits", "2", "CONFIG"],
+    "evaluate-double-dash": ["evaluate", "--", "CONFIG"],
+    "bound": ["bound", "--n", "7"],
+    "bound-equals": ["bound", "--n=5"],
+    "bound-too-short": ["bound", "--n", "2"],
+    "search": ["search", "--max-mn", "2", "--max-den", "50"],
+    "search-digits-equals": ["search", "--max-mn", "2", "--max-den", "50", "--digits=3"],
+    "digits-0": ["reference", "--digits", "0"],
+    "digits-1000": ["reference", "--digits", "1000"],
+    "digits-minus-1": ["reference", "--digits", "-1"],
+    "digits-abc": ["evaluate", "CONFIG", "--digits", "abc"],
+    "digits-1.5": ["search", "--max-mn", "2", "--digits", "1.5"],
+    "reference-help": ["reference", "-h"],
+    "verify-help": ["verify", "-h"],
+    "evaluate-help": ["evaluate", "--help"],
+    "bound-help": ["bound", "-h"],
+    "search-help": ["search", "-h"],
+    "help": ["-h"],
+    "help-long": ["--help"],
+    "help-before-command": ["-h", "evaluate"],
+    "empty": [],
+    "unknown-command": ["no-such-command"],
+    "option-before-command": ["--digits", "3", "reference"],
+    "missing-config-argument": ["evaluate"],
+    "missing-config-file": ["verify", "MISSING"],
+    "missing-required-option": ["bound"],
+    "extra-positional": ["evaluate", "CONFIG", "extra"],
+    "option-of-another-command": ["verify", "CONFIG", "--digits", "3"],
+    "tuple": ("evaluate", "CONFIG"),
+}
+
+
+def dispatch_outcome(capsys, seen, argv):
+    """Exit code, stdout, stderr and the Namespaces the commands were handed."""
+    seen.clear()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, seen[:]
+
+
+@pytest.mark.parametrize("form", DISPATCH_FORMS.values(), ids=DISPATCH_FORMS)
+def test_dispatch_matches_the_top_level_parser(capsys, tmp_path, monkeypatch, form):
+    paths = {"CONFIG": write_config(tmp_path, REF_CONFIG), "MISSING": str(tmp_path / "missing.json")}
+    argv = type(form)(paths.get(a, a) for a in form)
+    parser, commands = cli._parsers()
+    seen = []
+    for name in commands:
+        command = getattr(cli, f"cmd_{name}")
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args, command=command: seen.append(args) or command(args))
+    code, out, err, handed = dispatch_outcome(capsys, seen, argv)
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+    want_code, want_out, want_err, want_handed = dispatch_outcome(capsys, seen, argv)
+    assert (code, out, handed) == (want_code, want_out, want_handed)
+    if "unrecognized arguments" in want_err:
+        # the one deliberate difference: the command's own usage line and prog
+        name = argv[0]
+        want_err = want_err.replace(parser.format_usage(), commands[name].format_usage())
+        want_err = want_err.replace("rational-kcbs: error:", f"rational-kcbs {name}: error:")
+    assert err == want_err
+
+
+def test_extra_argument_is_reported_by_its_command(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", write_config(tmp_path, REF_CONFIG), "extra"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rational-kcbs evaluate [-h]")
+    assert err.endswith("rational-kcbs evaluate: error: unrecognized arguments: extra\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+def test_a_valid_request_is_parsed_by_one_parser(capsys, tmp_path, monkeypatch, command):
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        parsed.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    assert run_cli(capsys, command, write_config(tmp_path, REF_CONFIG))[0] == 0
+    assert len(parsed) == 1
+    assert parsed[0].prog == f"rational-kcbs {command}"
 
 
 def test_module_entry_point():
