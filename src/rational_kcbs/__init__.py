@@ -14,7 +14,6 @@ from .linalg3 import (
     Vec3Q,
     cross,
     dot,
-    mat_mul,
     norm_sq,
 )
 from .contextuality import (

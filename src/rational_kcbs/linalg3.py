@@ -159,10 +159,6 @@ def cross(u: Vec3Q, v: Vec3Q) -> Vec3Q:
     )
 
 
-def mat_mul(a: Mat3Q, b: Mat3Q) -> Mat3Q:
-    return _mat(_int_mat_mul(a, b), a._den * b._den)
-
-
 def _int_mat_mul(a: Mat3Q, b: Mat3Q) -> tuple[int, ...]:
     """a b as nine row-major ints over a._den * b._den, not reduced."""
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = a._num

@@ -35,10 +35,10 @@ The construction works entirely on rational points of the unit sphere:
   Adjacent projectors of a valid cycle are orthogonal, so the cycle
   operator is  sum_i A_i A_{i+1} = n*I - 4*G  with the 3x3 Gram matrix
   G = sum_i v_i v_i^T, and the aim is the top eigenvector of the float G,
-  found by a fixed number of cyclic Jacobi sweeps on flat lists of nine
-  floats (``optimal_state_numeric``): one path for simple, close and
-  repeated eigenvalues alike.  The aim is then snapped back onto the
-  rational sphere: project stereographically, take the best
+  found by a fixed number of cyclic Jacobi sweeps whose plane rotations are
+  written out on float locals (``optimal_state_numeric``): one path for
+  simple, close and repeated eigenvalues alike.  The aim is then snapped
+  back onto the rational sphere: project stereographically, take the best
   bounded-denominator approximation of each plane coordinate by a continued
   fraction on the float's exact integer ratio (equal to
   ``Fraction.limit_denominator``, ties included), and lift on integers.
@@ -253,22 +253,6 @@ def best_rational_approx(x: float | Fraction | int, max_den: int) -> Fraction:
 
 Float3 = tuple[float, float, float]
 
-# The planes (p, q) of the cyclic Jacobi sweep over a flat row-major 3x3:
-# the indices of entry (p, q) and of the diagonal entries (p, p) and (q, q),
-# the (p, q) column index pairs of each row, and the (p, q) row index pairs
-# of each column.
-_JACOBI_PLANES = tuple(
-    (3 * p + q, 4 * p, 4 * q,
-     tuple((3 * r + p, 3 * r + q) for r in range(3)),
-     tuple((3 * p + k, 3 * q + k) for k in range(3)))
-    for p, q in ((0, 1), (0, 2), (1, 2))
-)
-
-
-def _float_dot(u: Sequence[float], v: Sequence[float]) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def optimal_state_numeric(vectors: Sequence[UnitVectorQ]) -> tuple[Float3, float]:
     """Numeric unit state minimizing the cycle sum, and that minimum: the
     eigenpair of the cycle operator for its smallest eigenvalue.
@@ -281,44 +265,87 @@ def optimal_state_numeric(vectors: Sequence[UnitVectorQ]) -> tuple[Float3, float
     needs no case analysis of repeated or close eigenvalues; u is the
     accumulated rotation's column at the largest diagonal entry (the first
     one on a tie, so G = q*I gives e_x).  The floats are each unit's ints
-    over its denominator, correctly rounded, and G and the rotation are
-    flat row-major lists of nine floats.  Raises ArithmeticError unless the
-    pair solves n*I - 4*G to residual 1e-12.
+    over its denominator, correctly rounded.  The rotated matrix and the
+    rotation are nine float locals each, a0..a8 and r0..r8 in row-major
+    order, and each plane's rotation is written out; the rotated matrix is
+    not assumed to stay symmetric.  Raises ArithmeticError unless the pair
+    solves n*I - 4*G to residual 1e-12.
     """
     check_cycle_vectors(vectors)
     n = len(vectors)
-    coords = list(zip(*[[c / u.v._den for c in u.v._num] for u in vectors]))  # all x, all y, all z
-    g = [0.0] * 9
-    for j, k in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):  # G is symmetric
-        g[3 * j + k] = g[3 * k + j] = math.fsum([x * y for x, y in zip(coords[j], coords[k])])
-    a = g[:]
-    rot = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+    xs, ys, zs = zip(*[[c / u.v._den for c in u.v._num] for u in vectors])
+    fsum, copysign, hypot = math.fsum, math.copysign, math.hypot
+    g00 = fsum([x * x for x in xs])
+    g01 = fsum([x * y for x, y in zip(xs, ys)])
+    g02 = fsum([x * z for x, z in zip(xs, zs)])
+    g11 = fsum([y * y for y in ys])
+    g12 = fsum([y * z for y, z in zip(ys, zs)])
+    g22 = fsum([z * z for z in zs])
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = g00, g01, g02, g01, g11, g12, g02, g12, g22
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
     # cyclic Jacobi converges quadratically: four sweeps bring every tested
     # 3x3 (close and repeated eigenvalues included) to rounding level; six
-    # leave two spare
+    # leave two spare.  In each plane (p, q), the rotation by theta with
+    # cot(2 theta) = tau zeroes a[p][q], t = tan(theta) and |theta| <= pi/4;
+    # an entry already 0 is skipped (nothing to zero, and tau would divide by
+    # it).  The columns of a and of r go first (M <- M J), then the rows of a
+    # (A <- J^T A).
     for _sweep in range(6):
-        for pq, pp, qq, columns, rows in _JACOBI_PLANES:
-            if a[pq] == 0.0:  # nothing to zero, and tau would divide by it
-                continue
-            # the rotation by theta in the (p, q) plane with
-            # cot(2 theta) = tau zeroes a[p][q]; t = tan(theta), |theta| <= pi/4
-            tau = (a[qq] - a[pp]) / (2 * a[pq])
-            t = math.copysign(1 / (abs(tau) + math.hypot(1.0, tau)), tau)
-            c = 1 / math.hypot(1.0, t)
+        if a1 != 0.0:  # plane (0, 1)
+            tau = (a4 - a0) / (2 * a1)
+            t = copysign(1 / (abs(tau) + hypot(1.0, tau)), tau)
+            c = 1 / hypot(1.0, t)
             s = t * c
-            for m in (a, rot):  # columns: M <- M J
-                for j, k in columns:
-                    x, y = m[j], m[k]
-                    m[j], m[k] = c * x - s * y, s * x + c * y
-            for j, k in rows:  # rows: A <- J^T A
-                x, y = a[j], a[k]
-                a[j], a[k] = c * x - s * y, s * x + c * y
-    top = max(range(3), key=lambda k: a[4 * k])
-    vec = (rot[top], rot[3 + top], rot[6 + top])
-    lam = n - 4 * a[4 * top]
-    operator = [(n if j == k else 0) - 4 * g[3 * j + k] for j in range(3) for k in range(3)]
-    r = [_float_dot(operator[3 * j:3 * j + 3], vec) - lam * vec[j] for j in range(3)]
-    residual = math.sqrt(_float_dot(r, r))
+            a0, a1 = c * a0 - s * a1, s * a0 + c * a1
+            a3, a4 = c * a3 - s * a4, s * a3 + c * a4
+            a6, a7 = c * a6 - s * a7, s * a6 + c * a7
+            r0, r1 = c * r0 - s * r1, s * r0 + c * r1
+            r3, r4 = c * r3 - s * r4, s * r3 + c * r4
+            r6, r7 = c * r6 - s * r7, s * r6 + c * r7
+            a0, a3 = c * a0 - s * a3, s * a0 + c * a3
+            a1, a4 = c * a1 - s * a4, s * a1 + c * a4
+            a2, a5 = c * a2 - s * a5, s * a2 + c * a5
+        if a2 != 0.0:  # plane (0, 2)
+            tau = (a8 - a0) / (2 * a2)
+            t = copysign(1 / (abs(tau) + hypot(1.0, tau)), tau)
+            c = 1 / hypot(1.0, t)
+            s = t * c
+            a0, a2 = c * a0 - s * a2, s * a0 + c * a2
+            a3, a5 = c * a3 - s * a5, s * a3 + c * a5
+            a6, a8 = c * a6 - s * a8, s * a6 + c * a8
+            r0, r2 = c * r0 - s * r2, s * r0 + c * r2
+            r3, r5 = c * r3 - s * r5, s * r3 + c * r5
+            r6, r8 = c * r6 - s * r8, s * r6 + c * r8
+            a0, a6 = c * a0 - s * a6, s * a0 + c * a6
+            a1, a7 = c * a1 - s * a7, s * a1 + c * a7
+            a2, a8 = c * a2 - s * a8, s * a2 + c * a8
+        if a5 != 0.0:  # plane (1, 2)
+            tau = (a8 - a4) / (2 * a5)
+            t = copysign(1 / (abs(tau) + hypot(1.0, tau)), tau)
+            c = 1 / hypot(1.0, t)
+            s = t * c
+            a1, a2 = c * a1 - s * a2, s * a1 + c * a2
+            a4, a5 = c * a4 - s * a5, s * a4 + c * a5
+            a7, a8 = c * a7 - s * a8, s * a7 + c * a8
+            r1, r2 = c * r1 - s * r2, s * r1 + c * r2
+            r4, r5 = c * r4 - s * r5, s * r4 + c * r5
+            r7, r8 = c * r7 - s * r8, s * r7 + c * r8
+            a3, a6 = c * a3 - s * a6, s * a3 + c * a6
+            a4, a7 = c * a4 - s * a7, s * a4 + c * a7
+            a5, a8 = c * a5 - s * a8, s * a5 + c * a8
+    mu, vec = a0, (r0, r3, r6)  # a later diagonal entry wins only if larger
+    if a4 > mu:
+        mu, vec = a4, (r1, r4, r7)
+    if a8 > mu:
+        mu, vec = a8, (r2, r5, r8)
+    lam = n - 4 * mu
+    u0, u1, u2 = vec
+    o00, o11, o22 = n - 4 * g00, n - 4 * g11, n - 4 * g22  # n*I - 4*G, symmetric
+    o01, o02, o12 = -4 * g01, -4 * g02, -4 * g12
+    e0 = o00 * u0 + o01 * u1 + o02 * u2 - lam * u0
+    e1 = o01 * u0 + o11 * u1 + o12 * u2 - lam * u1
+    e2 = o02 * u0 + o12 * u1 + o22 * u2 - lam * u2
+    residual = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2)
     if residual > EIGEN_RESIDUAL_TOL:
         raise ArithmeticError(f"eigen-solve residual {residual} exceeds tolerance")
     return vec, lam

@@ -1,12 +1,15 @@
 """Exact test oracles on plain rows of Fractions: matrix products, the
-identity and the trace, the observables 2 v v^T - I, the Gram matrix, the cycle operator and its
-quadratic form, the z-mirrored pentagons, the stereographic chart and its
-inverse, and a report's exact re-checks (``report_checks_rows``).  They share nothing with the program's integer matrix kernel;
-tests check its routes against them.  ``closing_pairs_scan`` is the plain
-all-pairs closure scan, without the class rule of
+identity and the trace, the observables 2 v v^T - I, the Gram matrix, the
+cycle operator and its quadratic form, the z-mirrored pentagons, the
+stereographic chart and its inverse, a report's exact re-checks
+(``report_checks_rows``) and the quantum bound of an odd cycle
+(``respects_quantum_bound``).  They share nothing with the program's integer
+matrix kernel; tests check its routes against them.  ``closing_pairs_scan``
+is the plain all-pairs closure scan, without the class rule of
 ``search._closing_pairs``.  ``jacobi_aim_rows`` is the float aim of
-``search.optimal_state_numeric`` on lists of row lists, which the flat
-program version must reproduce bit for bit."""
+``search.optimal_state_numeric`` in loop form on lists of row lists, which
+the program's written-out rotations on float locals must reproduce bit for
+bit."""
 
 from __future__ import annotations
 
@@ -178,3 +181,35 @@ def jacobi_aim_rows(vectors: Sequence[UnitVectorQ]) -> tuple[tuple[float, float,
             a[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
     top = max(range(3), key=lambda k: a[k][k])
     return (rot[0][top], rot[1][top], rot[2][top]), n - 4 * a[top][top]
+
+
+# pi = 3.14159265358979323846..., so this rational lies below it
+PI_BELOW = Fraction(3141592653589793, 10**15)
+
+
+def cos_upper(x: Fraction, terms: int = 12) -> Fraction:
+    """A rational c >= cos(x): the Taylor sum of the first ``terms`` terms
+    (-1)^k x^(2k) / (2k)!, plus the absolute value of the next one, which
+    bounds the remainder (Lagrange form: every derivative of cos lies in
+    [-1, 1])."""
+    total, term = Fraction(0), Fraction(1)
+    for k in range(terms):
+        total += term
+        term *= -x * x / ((2 * k + 1) * (2 * k + 2))
+    return total + abs(term)
+
+
+def respects_quantum_bound(value: Fraction, n: int) -> bool:
+    """Whether an exact cycle sum of an odd n-cycle passes Lovász's bound
+    n (1 - 3 cos(pi/n)) / (1 + cos(pi/n)), the least value any unit state and
+    valid cycle reach; False means the evaluator is broken.
+
+    For n = 5 the test is exact on integers: value >= 5 - 4 sqrt(5) exactly
+    when (5 - value)^2 <= 80, since value <= 5.  For other n it is one-sided:
+    c = ``cos_upper(PI_BELOW / n)`` is >= cos(pi / n) because cos decreases
+    on [0, pi], and the bound decreases in c, so the bound at c lies at or
+    below the true one."""
+    if n == 5:
+        return (5 - value) ** 2 <= 80
+    c = cos_upper(PI_BELOW / n)
+    return value >= n * (1 - 3 * c) / (1 + c)

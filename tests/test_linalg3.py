@@ -15,12 +15,13 @@ from rational_kcbs.linalg3 import (
     Mat3Q,
     Vec3Q,
     _int_dot,
+    _int_mat_mul,
     _int_mat_vec,
     _ints,
+    _mat,
     _vec,
     cross,
     dot,
-    mat_mul,
     norm_sq,
 )
 from tests.conftest import REF_STATE_RAW, REF_VECTORS_RAW, rand_vec
@@ -193,6 +194,12 @@ def transpose(m: Mat3Q) -> Mat3Q:
     return Mat3Q(tuple(zip(*m.rows)))
 
 
+def product_rows(a: Mat3Q, b: Mat3Q) -> tuple[tuple[Fraction, ...], ...]:
+    """a b as Fraction rows, from the kernel's ints over a._den * b._den."""
+    d, n = a._den * b._den, _int_mat_mul(a, b)
+    return tuple(tuple(Fraction(e, d) for e in n[i:i + 3]) for i in (0, 3, 6))
+
+
 def test_matrix_algebra():
     rng = random.Random(31)
 
@@ -207,12 +214,12 @@ def test_matrix_algebra():
     ident = identity_mat()
     for _ in range(50):
         a, b = rand_mat(), rand_mat()
-        assert mat_mul(ident, a) == a == mat_mul(a, ident)
-        assert transpose(mat_mul(a, b)) == mat_mul(transpose(b), transpose(a))
+        assert product_rows(ident, a) == a.rows == product_rows(a, ident)
+        assert tuple(zip(*product_rows(a, b))) == product_rows(transpose(b), transpose(a))
         # psi^T (A B) psi == (A^T psi) . (B psi)
         psi = rand_vec(rng)
         c = psi.as_tuple()
-        assert quadratic_form(psi, mat_mul(a, b).rows) == dot(
+        assert quadratic_form(psi, product_rows(a, b)) == dot(
             Vec3Q(*ref_vec(transpose(a).rows, c)), Vec3Q(*ref_vec(b.rows, c))
         )
 
@@ -227,8 +234,8 @@ def test_reflection_observables_commute_on_orthogonal_pair():
     # 2|v><v| - 1 from Fraction rows for the first two reference directions
     a0 = Mat3Q(observable_rows(Vec3Q(*REF_VECTORS_RAW[0])))
     a1 = Mat3Q(observable_rows(Vec3Q(*REF_VECTORS_RAW[1])))
-    assert mat_mul(a0, a1) == mat_mul(a1, a0)
-    assert mat_mul(a0, a0) == identity_mat()
+    assert _int_mat_mul(a0, a1) == _int_mat_mul(a1, a0)
+    assert product_rows(a0, a0) == identity_mat().rows
 
 
 # ------------------------------------------------ oracle for the matrix kernel
@@ -266,7 +273,7 @@ def test_kernel_matches_fraction_rows_oracle():
         a, b = Mat3Q(ra), Mat3Q(rb)
         assert a.rows == ra
         assert all(isinstance(e, Fraction) for row in a.rows for e in row)
-        assert mat_mul(a, b).rows == ref_mul(ra, rb)
+        assert product_rows(a, b) == ref_mul(ra, rb)
         assert (a == b) == (ra == rb) and a == Mat3Q(ra)
 
 
@@ -293,7 +300,9 @@ def test_equal_values_compare_and_hash_alike_by_any_route():
     for _ in range(100):
         ra = rand_rows(rng)
         a = Mat3Q(ra)
-        routes = [mat_mul(a, ident), mat_mul(ident, a), Mat3Q(a.rows)]
+        routes = [
+            _mat(_int_mat_mul(a, ident), a._den), _mat(_int_mat_mul(ident, a), a._den), Mat3Q(a.rows)
+        ]
         for m in routes:
             assert m == a and hash(m) == hash(a)
         assert len(set(routes)) == 1
@@ -303,7 +312,8 @@ def test_equal_values_compare_and_hash_alike_by_any_route():
     assert Mat3Q(((Fraction(1), 0, 0), (0, 1, 0), (0, 0, 1))) == ident
     # an observable squared reaches the identity over a denominator of 1
     obs = Mat3Q(observable_rows(Vec3Q(*REF_VECTORS_RAW[3])))
-    assert mat_mul(obs, obs) == ident and hash(mat_mul(obs, obs)) == hash(ident)
+    square = _mat(_int_mat_mul(obs, obs), obs._den ** 2)
+    assert square == ident and hash(square) == hash(ident)
     assert ident != ident.rows
 
 

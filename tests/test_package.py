@@ -10,8 +10,9 @@ import rational_kcbs
 EXPORTS = {
     # rationals
     "format_rational", "parse_rational", "to_decimal",
-    # linalg3
-    "E_X", "E_Y", "E_Z", "Mat3Q", "Vec3Q", "cross", "dot", "mat_mul", "norm_sq",
+    # linalg3 (no matrix product: reports compare the private
+    # _int_mat_mul's ints, and no program path multiplies Mat3Q values)
+    "E_X", "E_Y", "E_Z", "Mat3Q", "Vec3Q", "cross", "dot", "norm_sq",
     # contextuality
     "CycleScenario", "CycleValidationError", "UnitVectorQ", "correlator", "kcbs_value",
     "kcbs_value_via_projections", "make_observable", "reference_scenario", "validate_cycle",

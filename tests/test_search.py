@@ -22,7 +22,7 @@ from rational_kcbs.contextuality import (
 )
 from rational_kcbs.hv_models import is_violation
 from rational_kcbs.linalg3 import E_X, E_Y, E_Z, Vec3Q, cross, dot, norm_sq
-from rational_kcbs.rationals import format_rational
+from rational_kcbs.rationals import format_rational, parse_rational
 from rational_kcbs.search import (
     MAX_MN,
     CircleParams,
@@ -47,11 +47,14 @@ from tests.conftest import (
 )
 from tests.oracles import (
     IDENTITY_ROWS,
+    PI_BELOW,
     closing_pairs_scan,
+    cos_upper,
     cycle_operator,
     gram,
     jacobi_aim_rows,
     ref_map,
+    respects_quantum_bound,
     stereo_chart,
     stereo_lift_fractions,
     z_flipped_pentagon,
@@ -443,18 +446,19 @@ class TestGramAim:
         op = np.array([[float(e) for e in row] for row in cycle_operator(vectors)])
         assert np.linalg.norm(op @ np.array(vec) - ref_lam * np.array(vec)) < 1e-12
 
-    def test_flat_sweeps_match_row_list_oracle(self):
+    def test_flat_sweeps_match_row_list_oracle(self, pentagons_30):
         # the same float operations in the same order give the same bits:
-        # every closing pentagon of primitive_params(40) in both orders, the
-        # degenerate cycles above and the other test cycles
-        params = primitive_params(40)
+        # every closing pentagon at MAX_MN in both orders, their z-flips up to
+        # max_mn 30, the degenerate cycles above and the seeded odd cycles
+        # n = 3..23
+        params = primitive_params(MAX_MN)
         pentagons = [
             build_pentagon(params[a], params[b])
             for i, j, _, _ in _closing_pairs([circle_triple(p) for p in params])
             for a, b in ((i, j), (j, i))
         ]
-        assert len(pentagons) == 38
-        for vectors in pentagons + list(SPECIAL_CYCLES.values()) + ODD_CYCLES:
+        assert len(pentagons) == 114
+        for vectors in pentagons + pentagons_30 + list(SPECIAL_CYCLES.values()) + ODD_CYCLES:
             vec, lam = optimal_state_numeric(vectors)
             ref_vec, ref_lam = jacobi_aim_rows(vectors)
             assert [x.hex() for x in (*vec, lam)] == [x.hex() for x in (*ref_vec, ref_lam)]
@@ -564,12 +568,11 @@ class TestSearch:
     def test_hits_sorted_and_bounded(self, default_hits):
         values = [h.value for h in default_hits]
         assert values == sorted(values)
-        quantum_floor = 5 - 4 * math.sqrt(5)
         for h in default_hits:
             assert h.scenario.n == 5
             assert h.state_denominator_bound == 600
             assert h.value < -3
-            assert float(h.value) > quantum_floor - 1e-9
+            assert (5 - h.value) ** 2 <= 80  # value >= 5 - 4 sqrt(5), exactly
 
     def test_top_hit_beats_reference_value(self, default_hits):
         assert default_hits[0].value <= REF_KCBS_VALUE
@@ -670,6 +673,69 @@ def test_search_matches_golden(request_):
         }
         for h in hits
     ] == request_["hits"]
+
+
+CLI_GOLDEN_CONFIGS = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
+)["configs"]
+
+
+class TestQuantumBound:
+    """No exact value goes below Lovász's bound n (1 - 3 cos(pi/n)) /
+    (1 + cos(pi/n)) of its odd cycle (``tests.oracles.respects_quantum_bound``):
+    exact on integers for n = 5, one-sided from a series bound on cos(pi/n)
+    for the other n."""
+
+    def test_cos_upper_bounds_cos_pi_over_n_tightly(self):
+        # cos(pi/3) = 1/2 and cos(pi/5) = (1 + sqrt(5)) / 4, compared exactly
+        c3, c5 = cos_upper(PI_BELOW / 3), cos_upper(PI_BELOW / 5)
+        assert 0 < c3 - Fraction(1, 2) < Fraction(1, 10**15)
+        assert 4 * c5 - 1 > 0 and 0 < (4 * c5 - 1) ** 2 - 5 < Fraction(1, 10**14)
+        # the float cos is only near cos(pi/n), so the other n check closeness
+        for n in range(3, 24, 2):
+            assert abs(cos_upper(PI_BELOW / n) - Fraction(math.cos(math.pi / n))) < 1e-14
+
+    def test_oracle_rejects_values_below_the_bound(self):
+        # 5 - 4 sqrt(5) = -3.9442719099...; the triangle's bound is -1 exactly
+        assert respects_quantum_bound(Fraction(-3944271, 10**6), 5)
+        assert not respects_quantum_bound(Fraction(-3944272, 10**6), 5)
+        assert respects_quantum_bound(Fraction(-1), 3)
+        assert not respects_quantum_bound(Fraction(-1) - Fraction(1, 10**12), 3)
+        for n in range(7, 24, 2):
+            c = math.cos(math.pi / n)
+            bound = Fraction(n * (1 - 3 * c) / (1 + c))
+            assert respects_quantum_bound(bound + Fraction(1, 10**9), n)
+            assert not respects_quantum_bound(bound - Fraction(1, 10**9), n)
+
+    @pytest.mark.parametrize("max_den", [10, 600, 10**6])
+    def test_search_hits_respect_the_bound(self, max_den):
+        hits = search(MAX_MN, max_den, 10**6)
+        assert len(hits) == 114
+        assert all(respects_quantum_bound(h.value, h.scenario.n) for h in hits)
+
+    def test_golden_values_respect_the_bound(self):
+        checked = []
+        for name, config in CLI_GOLDEN_CONFIGS.items():
+            try:
+                scenario = validate_cycle(
+                    Vec3Q(*map(parse_rational, config["state"])),
+                    [Vec3Q(*map(parse_rational, v)) for v in config["vectors"]],
+                )
+            except (CycleValidationError, ValueError):
+                continue  # a config that breaks an invariant has no value
+            assert respects_quantum_bound(kcbs_value(scenario), scenario.n), name
+            checked.append((name, scenario.n))
+        assert checked == [("reference", 5), ("valid-7-cycle", 7)]
+        for request_ in SEARCH_GOLDEN["requests"]:
+            assert all(respects_quantum_bound(parse_rational(h["value"]), 5) for h in request_["hits"])
+
+    def test_odd_cycles_at_their_aimed_states_respect_the_bound(self):
+        for vectors in ODD_CYCLES + list(SPECIAL_CYCLES.values()):
+            aim, _lam = optimal_state_numeric(vectors)
+            states = [rationalize_state(aim, d).v for d in (10, 10**3, 10**6)] + [E_X, E_Y, E_Z]
+            for state in states:
+                scenario = validate_cycle(state, [u.v for u in vectors])
+                assert respects_quantum_bound(kcbs_value(scenario), scenario.n)
 
 
 def closable_pairs(max_mn):
