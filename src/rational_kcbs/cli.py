@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Machine-readable JSON goes to stdout, a one-line human summary to stderr.
+Machine-readable JSON goes to stdout as one compact line (``json.dumps``
+and a newline), a one-line human summary to stderr.
 All fractions are serialized as strings in the ``p`` / ``p/q`` wire format,
 never as floating-point JSON numbers, so output re-parses to the exact
 computed values.  Exit codes: 0 success/valid, 1 validation failure (the
@@ -9,14 +10,14 @@ deeply, holding an oversized number or repeating a key included).  An
 argument error after a command name is reported with that command's own
 usage line (``rational-kcbs evaluate: error: ...``); ``-h`` exits 0.
 
-Config file schema (UTF-8 JSON)::
+Config file schema (UTF-8 JSON, read with text mode's universal newlines)::
 
     {"state": ["354/527", "357/527", "-158/527"],
      "vectors": [["1", "0", "0"], ...]}
 
-Each triple of fraction strings is read straight into a ``Vec3Q``'s ints
-over the lcm of its denominators; reading and validating a config builds no
-Fraction.
+Each triple of fraction strings is matched as one text and read straight
+into a ``Vec3Q``'s ints over the lcm of its denominators; reading and
+validating a config builds no Fraction.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -53,12 +55,35 @@ class ConfigError(ValueError):
     """A config file has the wrong shape or a malformed fraction string."""
 
 
+# Three wire-format fraction texts (``rationals._FRACTION_RE``) joined by
+# single spaces, each with its numerator and denominator as groups.  No text
+# the wire format accepts holds a space, so a triple matches exactly when
+# each of its components does.
+_TRIPLE_RE = re.compile(" ".join([r"([+-]?[0-9]+)(?:/([0-9]+))?"] * 3))
+
+
+def _triple_ratios(c0: str, c1: str, c2: str) -> tuple[tuple[int, int], ...]:
+    """The (p, q) ints of three fraction texts as written, read by one match;
+    where it gives none, ``_ratio`` on each text in order raises for the
+    first one it refuses."""
+    match = _TRIPLE_RE.fullmatch(f"{c0} {c1} {c2}")
+    if match:
+        try:  # "1" for an absent denominator
+            p0, q0, p1, q1, p2, q2 = map(int, match.groups("1"))
+        except ValueError:  # a part beyond the int-from-string digit limit
+            pass
+        else:
+            if q0 and q1 and q2:
+                return (p0, q0), (p1, q1), (p2, q2)
+    return _ratio(c0), _ratio(c1), _ratio(c2)
+
+
 def _parse_triple(raw: object, what: str) -> Vec3Q:
     if isinstance(raw, list) and len(raw) == 3:
         c0, c1, c2 = raw
         if isinstance(c0, str) and isinstance(c1, str) and isinstance(c2, str):
             try:
-                (p0, q0), (p1, q1), (p2, q2) = _ratio(c0), _ratio(c1), _ratio(c2)
+                (p0, q0), (p1, q1), (p2, q2) = _triple_ratios(c0, c1, c2)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"{what}: {exc}") from exc
             den = lcm(q0, q1, q2)
@@ -67,11 +92,13 @@ def _parse_triple(raw: object, what: str) -> Vec3Q:
 
 
 def _object_once(pairs: list[tuple[str, object]]) -> dict[str, object]:
-    data: dict[str, object] = {}
-    for key, value in pairs:
-        if key in data:
-            raise ConfigError(f"config JSON repeats the key {json.dumps(key)}")
-        data[key] = value
+    data = dict(pairs)
+    if len(data) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(f"config JSON repeats the key {json.dumps(key)}")
+            seen.add(key)
     return data
 
 
@@ -79,8 +106,10 @@ def load_config(path: str) -> tuple[Vec3Q, list[Vec3Q]]:
     """Read and parse a config file; raises OSError, UnicodeDecodeError,
     json.JSONDecodeError, or ConfigError.  Validation of the parsed scenario
     happens separately."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    # the universal newlines of text mode, so json.loads sees the same str
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         data = json.loads(text, object_pairs_hook=_object_once)
     except (json.JSONDecodeError, ConfigError):
@@ -156,11 +185,8 @@ def build_report(s: CycleScenario, digits: int) -> dict:
     }
 
 
-_ENCODER = json.JSONEncoder(indent=2)  # what json.dumps(payload, indent=2) builds per call
-
-
 def _emit(payload: object) -> None:
-    sys.stdout.write(_ENCODER.encode(payload) + "\n")
+    sys.stdout.write(json.dumps(payload) + "\n")
 
 
 def _note(message: str) -> None:

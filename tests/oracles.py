@@ -9,7 +9,9 @@ is the plain all-pairs closure scan, without the class rule of
 ``search._closing_pairs``.  ``jacobi_aim_rows`` is the float aim of
 ``search.optimal_state_numeric`` in loop form on lists of row lists, which
 the program's written-out rotations on float locals must reproduce bit for
-bit."""
+bit.  ``parse_triple_by_components`` reads a config triple with one
+``rationals._ratio`` call per component, the route ``cli._parse_triple``'s
+one-pattern match must agree with."""
 
 from __future__ import annotations
 
@@ -18,8 +20,10 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from rational_kcbs.cli import ConfigError
 from rational_kcbs.contextuality import UnitVectorQ, check_cycle_vectors
 from rational_kcbs.linalg3 import Mat3Q, Vec3Q, dot
+from rational_kcbs.rationals import _ratio
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
@@ -213,3 +217,16 @@ def respects_quantum_bound(value: Fraction, n: int) -> bool:
         return (5 - value) ** 2 <= 80
     c = cos_upper(PI_BELOW / n)
     return value >= n * (1 - 3 * c) / (1 + c)
+
+
+def parse_triple_by_components(raw: object, what: str) -> Vec3Q:
+    """A config triple read by calling ``_ratio`` on each component in order:
+    the vector of the three Fractions, or the ``ConfigError`` of the first
+    component ``_ratio`` refuses, or of the wrong shape."""
+    if isinstance(raw, list) and len(raw) == 3 and all(isinstance(c, str) for c in raw):
+        try:
+            ratios = [_ratio(c) for c in raw]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{what}: {exc}") from exc
+        return Vec3Q(*(Fraction(p, q) for p, q in ratios))
+    raise ConfigError(f"{what} must be a list of 3 fraction strings, got {raw!r}")

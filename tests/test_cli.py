@@ -25,7 +25,7 @@ from rational_kcbs.linalg3 import Mat3Q, Vec3Q, _int_mat_mul, dot
 from rational_kcbs.rationals import format_rational, parse_rational
 from rational_kcbs.search import stereo_lift
 from tests.conftest import REF_KCBS_VALUE, odd_cycle, rand_fraction, rand_wire_text, rotation
-from tests.oracles import identity_mat, report_checks_rows
+from tests.oracles import identity_mat, parse_triple_by_components, report_checks_rows
 
 REF_CONFIG = {
     "state": ["354/527", "357/527", "-158/527"],
@@ -539,6 +539,65 @@ def test_parse_triple_ints_match_parsed_fractions():
         assert type(v._num) is tuple and v == Vec3Q(*fractions), raw
 
 
+# components _ratio refuses, each for its own reason: no digits, a
+# denominator of 0, a digit or sign form int() would take but the wire format
+# does not, and spacing that int() strips
+REFUSED_TEXTS = ["", "1/0", "-3/0", "+0/00", "1/", "/1", "/", "+", "-", "--1", "+-1", "1//2", "1/2/3",
+                 "1/-2", "1/+2", "\x00", "1\x00", "²", "1²", "١", "1/١", "٣/4", "½", "0x1", "1_0",
+                 "1.0", "1e3", " 1", "1 ", "- 1", "1 /2", "1/ 2", "\t1", "1\n", "1\r\n", "\u00a01"]
+
+
+def hostile_wire_text(rng: random.Random) -> str:
+    """A component the wire format accepts or refuses: the seeded wire texts
+    of ``rand_wire_text``, those with a space, tab or newline put in, the
+    refused texts above, and parts of more than 4300 digits."""
+    kind = rng.randrange(8)
+    text = rand_wire_text(rng)
+    if kind < 3:
+        return text
+    if kind == 3:
+        at = rng.randint(0, len(text))
+        return text[:at] + rng.choice(" \t\n") + text[at:]
+    if kind == 4:
+        return rng.choice(REFUSED_TEXTS)
+    digits = rng.choice("0179") * rng.choice((4299, 4300, 4301, 5000))
+    if kind == 5:
+        return rng.choice(("", "-", "+")) + "1" + digits
+    if kind == 6:
+        return text.partition("/")[0] + "/" + rng.choice(("1", "")) + digits
+    return "1" + digits + rng.choice(("/0", "/7", "/" + digits))
+
+
+def hostile_triples(rng: random.Random) -> list[object]:
+    fixed = [["-0", "+0", "00/007"], ["2/4", "-6/4", "0"], ["1 2", "3", "4"], ["1", "2 3", "4"],
+             ["1", "2", "3 "], ["1\t", "2", "3"], ["", "", ""], ["1", "0", "0", "0"], ["1", "0"],
+             ["1", 0, "0"], ("1", "0", "0"), None, ["1/0", "1" * 4301, "x"], ["1" * 4301, "1/0", "x"],
+             ["1" * 4301 + "/0", "0", "0"], ["1/" + "7" * 4301, "0", "0"], ["0" * 4301 + "1", "0", "0"]]
+    return fixed + [[hostile_wire_text(rng) for _ in range(3)] for _ in range(3000)]
+
+
+def triple_outcome(parse, raw):
+    """The vector's ints, or the ConfigError text; any other exception is a
+    failure of the parse and propagates."""
+    try:
+        v = parse(raw, "vectors[1]")
+    except cli.ConfigError as exc:
+        return str(exc)
+    return type(v._num), v._num, v._den
+
+
+def test_parse_triple_matches_the_per_component_route():
+    triples = hostile_triples(random.Random(4300))
+    outcomes = [triple_outcome(cli._parse_triple, raw) for raw in triples]
+    assert outcomes == [triple_outcome(parse_triple_by_components, raw) for raw in triples]
+    refused = [o for o in outcomes if isinstance(o, str)]
+    # every kind of refusal is met, and both outcomes are common
+    for message in ("malformed fraction text", "zero denominator", "Exceeds the limit (4300",
+                    "must be a list of 3 fraction strings"):
+        assert any(message in o for o in refused), message
+    assert 1000 < len(refused) < len(outcomes) - 300
+
+
 def test_reading_and_validating_a_config_builds_no_fraction(tmp_path, monkeypatch):
     rng = random.Random(23)
     configs = [REF_CONFIG, DEGENERATE_CONFIG]
@@ -584,6 +643,79 @@ def test_non_utf8_config_exits_2(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+# A config file reads as it reads in text mode with UTF-8: universal
+# newlines, a byte order mark kept (json refuses it) and the decode error's
+# position.  Each case gives its exit code and, for an error, the stderr
+# recorded from a text-mode read ("{path!r}" stands for the path).
+_REF_LINES = json.dumps(REF_CONFIG, indent=1).encode()
+READ_PATH_CASES = {
+    "crlf": (_REF_LINES.replace(b"\n", b"\r\n"), 0, None),
+    "crlf-json-error": (
+        _REF_LINES.replace(b"\n", b"\r\n")[:-5] + b"x]]}",
+        2,
+        "error: Expecting ',' delimiter: line 33 column 1 (char 276)\n",
+    ),
+    "lone-cr": (_REF_LINES.replace(b"\n", b"\r"), 0, None),
+    "cr-inside-a-string": (
+        _REF_LINES.replace(b'"357/527"', b'"357/527\r"').replace(b"\n", b"\r"),
+        2,
+        "error: Invalid control character at: line 4 column 11 (char 37)\n",
+    ),
+    "cr-cr-lf": (
+        _REF_LINES.replace(b"\n", b"\r\r\n")[:-3] + b"?",
+        2,
+        "error: Expecting ',' delimiter: line 66 column 1 (char 311)\n",
+    ),
+    "utf8-bom": (
+        b"\xef\xbb\xbf" + _REF_LINES,
+        2,
+        "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n",
+    ),
+    "invalid-utf8-inside": (
+        _REF_LINES[:40] + b"\xff" + _REF_LINES[40:],
+        2,
+        "error: 'utf-8' codec can't decode byte 0xff in position 40: invalid start byte\n",
+    ),
+    "truncated-utf8-at-end": (
+        _REF_LINES + b"\xe2\x82",
+        2,
+        "error: 'utf-8' codec can't decode bytes in position 280-281: unexpected end of data\n",
+    ),
+    "directory": ("directory", 2, "error: [Errno 21] Is a directory: {path!r}\n"),
+    "missing": (None, 2, "error: [Errno 2] No such file or directory: {path!r}\n"),
+}
+
+
+def text_mode_outcome(capsys, tmp_path, command, path):
+    """What the command gives for the config read in text mode: the error
+    opening or decoding it raises, or the command run on its text written
+    back with no "\\r" left, which any read gives unchanged."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        return 2, "", f"error: {exc}\n"
+    plain = tmp_path / "plain.json"
+    plain.write_bytes(text.encode("utf-8"))
+    return run_cli(capsys, command, str(plain))
+
+
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+@pytest.mark.parametrize("case", list(READ_PATH_CASES))
+def test_config_read_matches_text_mode(capsys, tmp_path, command, case):
+    content, code, stderr = READ_PATH_CASES[case]
+    path = tmp_path / "config.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    got = run_cli(capsys, command, str(path))
+    assert got == text_mode_outcome(capsys, tmp_path, command, str(path))
+    assert got[0] == code
+    if stderr is not None:
+        assert got[1:] == ("", stderr.format(path=str(path)))
 
 
 def _members(*pairs):
@@ -642,6 +774,25 @@ def test_hostile_json_exits_2(capsys, tmp_path, command, text, message):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: config JSON {message}")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # the first member that repeats an earlier one, not the first key that has a copy
+        ('{"state": 1, "vectors": 2, "note": 3, "vectors": 4, "state": 5}', '"vectors"'),
+        # an inner object is read, and refused, before the object holding it
+        ('{"state": 1, "state": 2, "vectors": [["1", "0", "0"], {"x": 1, "x": 2}]}', '"x"'),
+        ('{"state": 1, "state": 2, "state": 3, "vectors": 4}', '"state"'),
+        ('{"st\\"a\\\\te\\u00e9\\n": 1, "vectors": 2, "st\\"a\\\\te\\u00e9\\n": 3}',
+         '"st\\"a\\\\te\\u00e9\\n"'),
+    ],
+    ids=["after-other-keys", "nested-object", "three-copies", "escaped-key"],
+)
+def test_repeated_key_message_names_the_first_repeat(capsys, tmp_path, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "evaluate", str(path)) == (2, "", f"error: config JSON repeats the key {key}\n")
 
 
 def test_evaluate_long_cycle_certifies_bound(capsys, tmp_path):
@@ -945,6 +1096,31 @@ def test_value_strings_never_use_floats(capsys):
     for text in [report["value"], *report["per_correlator"]]:
         assert isinstance(parse_rational(text), Fraction)
     assert isinstance(report["decimal"], str)
+
+
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["reference"], None, "per_correlator"),
+        (["verify", "{config}"], REF_CONFIG, "valid"),
+        (["verify", "{config}"], config_variant(vectors=REF_CONFIG["vectors"][:2] + [["1", "1", "0"]]), "index"),
+        (["evaluate", "{config}"], config_variant(vectors=REF_CONFIG["vectors"][:2] + [["1", "0", "0"]]), "pair"),
+        (["bound", "--n", "7"], None, "witness"),
+        (["search", "--max-mn", "16", "--max-den", "1000", "--top", "3"], None, 0),
+        (["search", "--max-mn", "2"], None, None),
+    ],
+    ids=["report", "valid", "invalid-index", "invalid-pair", "bound-witness", "search-hits", "search-empty"],
+)
+def test_emit_writes_one_json_line(capsys, tmp_path, argv, config, key):
+    if config is not None:
+        argv = [write_config(tmp_path, config) if a == "{config}" else a for a in argv]
+    _, out, _ = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    assert out == json.dumps(payload) + "\n"
+    if key is None:
+        assert payload == []
+    else:
+        payload[key]  # the payload is of the kind named
 
 
 # -------------------------------------------------------------------- golden
