@@ -4,20 +4,20 @@ Dimension is fixed at 3 throughout the package, which keeps every invariant
 total and every operation a fixed handful of exact products.  A ``Vec3Q``
 holds three ints over one positive denominator in lowest terms, and a
 ``Mat3Q`` nine, so exact checks, products and comparisons run on Python ints;
-a Fraction is built only where a value leaves the type (``x``, ``y``, ``z``,
-``as_tuple()`` and ``rows``).  A vector has no arithmetic of its own: ``dot``,
-``norm_sq`` and ``cross`` are what certificates need.  The private
-constructors ``_vec`` and ``_mat`` build a value straight from such ints, and
-share one gcd reduction (``_fill``).  The private integer kernels ``_ints``,
-``_int_dot`` and ``_int_mat_vec`` let callers keep a vector as three ints over
-one denominator and build one Fraction at the end; ``_int_mat_mul`` gives a
+a Fraction is built only where a vector leaves the type (``x``, ``y``, ``z``
+and ``as_tuple()``); a matrix has no Fraction view.  A vector has no
+arithmetic of its own: ``dot``, ``norm_sq`` and ``cross`` are what
+certificates need.  The private constructors ``_vec`` and ``_mat`` (a
+matrix's only one) build a value straight from such ints, and share one gcd
+reduction (``_fill``).  The private integer kernels ``_ints``, ``_int_dot``
+and ``_int_mat_vec`` let callers keep a vector as three ints over one
+denominator and build one Fraction at the end; ``_int_mat_mul`` gives a
 product as nine ints over the product of the two denominators, for callers
 that only compare it.
-Components are ints or Fractions.  Floats are rejected at construction:
-once a binary-rounded value sneaks in, no downstream result is exact
-anymore.  Strings are rejected too: fraction text is parsed once, at the
-wire format (``rationals``), so this module depends on nothing else in the
-package.
+A vector's components are ints or Fractions.  Floats are rejected at
+construction: once a binary-rounded value sneaks in, no downstream result is
+exact anymore.  Strings are rejected too: fraction text is parsed once, at
+the wire format (``rationals``), so no other package module is imported here.
 
 The cross product is right-handed: ``cross(E_X, E_Y) == E_Z``.
 """
@@ -116,27 +116,20 @@ E_Z = Vec3Q(0, 0, 1)
 class Mat3Q:
     """Immutable 3x3 matrix with exact rational entries, row-major.
 
-    Held as nine ints over one positive denominator in lowest terms, so
-    equality and hashing compare ints whichever route reached the value;
-    ``rows`` is the Fraction view.
+    Held as nine ints over one positive denominator in lowest terms, and
+    built from them only by ``_mat``, so equality and hashing compare ints
+    whichever route reached the value; the repr shows the ints.
     """
 
     __slots__ = ("_num", "_den")  # as for Vec3Q
     _num: tuple[int, ...]
     _den: int
 
-    def __init__(self, rows: Sequence[Sequence[RationalLike]]):
-        if len(rows) != 3 or any(len(row) != 3 for row in rows):
-            raise ValueError("Mat3Q requires a 3x3 array of entries")
-        _fill(self, *_ints([as_rational(e) for row in rows for e in row]))
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        n, d = self._num, self._den
-        return tuple(tuple(Fraction(e, d) for e in n[i:i + 3]) for i in (0, 3, 6))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("Mat3Q has no public constructor; _mat(num, den) builds one from ints")
 
     def __repr__(self) -> str:
-        return f"Mat3Q(rows={self.rows!r})"
+        return f"Mat3Q(num={self._num!r}, den={self._den!r})"
 
     def __reduce__(self):
         return _mat, (self._num, self._den)

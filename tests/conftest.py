@@ -1,7 +1,7 @@
 """Shared fixture data: the bundled reference configuration spelled out as
 integer literals, so tests cross-check the packaged constants instead of
-echoing them, and seeded generators of rationals, wire-format fraction
-texts, rotations and odd cycles."""
+echoing them, seeded generators of rationals, wire-format fraction texts,
+rotations and odd cycles, and the interpreter's own digit-limit message."""
 
 from __future__ import annotations
 
@@ -27,6 +27,15 @@ REF_VECTORS_RAW = (
 # Exact cycle sum of the reference configuration, derived in
 # test_contextuality via the projector-sum oracle and frozen here for reuse.
 REF_KCBS_VALUE = Fraction(-3637267023675289031, 923014205472656089)
+
+
+def int_limit_message(digits: str) -> str:
+    """The running interpreter's ValueError text for ``int(digits)`` beyond
+    its int-from-string digit limit.  Its wording depends on the version:
+    "Exceeds the limit (4300) ..." on 3.10, "(4300 digits)" from 3.11."""
+    with pytest.raises(ValueError) as refused:
+        int(digits)
+    return str(refused.value)
 
 
 @pytest.fixture

@@ -4,7 +4,10 @@ cycle operator and its quadratic form, the z-mirrored pentagons, the
 stereographic chart and its inverse, a report's exact re-checks
 (``report_checks_rows``) and the quantum bound of an odd cycle
 (``respects_quantum_bound``).  They share nothing with the program's integer
-matrix kernel; tests check its routes against them.  ``closing_pairs_scan``
+matrix kernel; tests check its routes against them.  ``Mat3Q`` has no
+Fraction view and no public constructor, so ``mat_rows`` reads a matrix's
+ints as Fraction rows, and ``mat_from_rows`` hands ``_mat`` the ints of
+Fraction rows over their least common denominator.  ``closing_pairs_scan``
 is the plain all-pairs closure scan, without the class rule of
 ``search._closing_pairs``.  ``jacobi_aim_rows`` is the float aim of
 ``search.optimal_state_numeric`` in loop form on lists of row lists, which
@@ -22,7 +25,7 @@ from typing import Callable, Sequence
 
 from rational_kcbs.cli import ConfigError
 from rational_kcbs.contextuality import UnitVectorQ, check_cycle_vectors
-from rational_kcbs.linalg3 import Mat3Q, Vec3Q, dot
+from rational_kcbs.linalg3 import Mat3Q, Vec3Q, _mat, dot
 from rational_kcbs.rationals import _ratio
 
 Rows = tuple[tuple[Fraction, ...], ...]
@@ -30,14 +33,27 @@ Rows = tuple[tuple[Fraction, ...], ...]
 IDENTITY_ROWS: Rows = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
 
 
+def mat_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Mat3Q:
+    """The Mat3Q of 3x3 rows of Fractions or ints: its nine entries as ints
+    over their least common denominator, handed to ``_mat``."""
+    entries = [Fraction(e) for row in rows for e in row]
+    den = math.lcm(*[e.denominator for e in entries])
+    return _mat(tuple(e.numerator * (den // e.denominator) for e in entries), den)
+
+
+def mat_rows(m: Mat3Q) -> Rows:
+    """m as rows of Fractions, each of its nine ints over its denominator."""
+    n, d = m._num, m._den
+    return tuple(tuple(Fraction(e, d) for e in n[i:i + 3]) for i in (0, 3, 6))
+
+
 def identity_mat() -> Mat3Q:
     """The 3x3 identity, built from its Fraction rows."""
-    return Mat3Q(IDENTITY_ROWS)
+    return mat_from_rows(IDENTITY_ROWS)
 
 
-def trace(m: Mat3Q) -> Fraction:
-    """The trace of m, summed from its Fraction rows."""
-    rows = m.rows
+def trace(rows: Rows) -> Fraction:
+    """The trace of Fraction rows."""
     return rows[0][0] + rows[1][1] + rows[2][2]
 
 
@@ -128,7 +144,7 @@ def report_checks_rows(s, value: Fraction, corrs: Sequence[Fraction]) -> dict[st
     ``ref_mul`` compared with the identity rows or with each other, the trace
     and the ranges as Fraction comparisons, and the projection identity
     n - 4 sum_i (v_i . psi)^2 from Fraction dot products."""
-    mats = [a.rows for a in s.observables]
+    mats = [mat_rows(a) for a in s.observables]
     psi = s.state.v
     return {
         "observables_square_to_identity": all(ref_mul(a, a) == IDENTITY_ROWS for a in mats),

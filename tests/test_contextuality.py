@@ -22,7 +22,6 @@ from rational_kcbs.linalg3 import (
     E_X,
     E_Y,
     E_Z,
-    Mat3Q,
     Vec3Q,
     _int_mat_mul,
     dot,
@@ -31,6 +30,8 @@ from rational_kcbs.search import stereo_lift
 from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, odd_cycle, rand_fraction
 from tests.oracles import (
     cycle_operator,
+    mat_from_rows,
+    mat_rows,
     observable_rows,
     outer_rows,
     quadratic_form,
@@ -128,12 +129,12 @@ def test_private_unit_constructor_rejects_like_public_one(num, den):
 
 def test_observable_shape():
     a = make_observable(UnitVectorQ(E_X))
-    assert a == Mat3Q(((1, 0, 0), (0, -1, 0), (0, 0, -1)))
+    assert a == mat_from_rows(((1, 0, 0), (0, -1, 0), (0, 0, -1)))
     b = make_observable(UnitVectorQ(Vec3Q(Fraction(3, 5), Fraction(4, 5), 0)))
-    assert b.rows[0][1] == Fraction(24, 25)
+    assert mat_rows(b)[0][1] == Fraction(24, 25)
     # 2*(48/73)^2 - 1 == -721/5329
     v2 = make_observable(UnitVectorQ(Vec3Q(*REF_VECTORS_RAW[2])))
-    assert v2.rows[0][0] == Fraction(-721, 5329)
+    assert mat_rows(v2)[0][0] == Fraction(-721, 5329)
 
 
 def test_observable_invariants():
@@ -142,8 +143,8 @@ def test_observable_invariants():
     directions += [random_unit_vec(rng) for _ in range(40)]
     for v in directions:
         m = make_observable(UnitVectorQ(v))
-        assert m.rows == tuple(zip(*m.rows))
-        assert trace(m) == -1
+        assert mat_rows(m) == tuple(zip(*mat_rows(m)))
+        assert trace(mat_rows(m)) == -1
         d = m._den ** 2  # the product's denominator
         assert _int_mat_mul(m, m) == (d, 0, 0, 0, d, 0, 0, 0, d)
 
@@ -151,9 +152,9 @@ def test_observable_invariants():
 def test_projector_idempotent():
     # |v><v| for a unit v: the projector behind the projection route
     v = Vec3Q(*REF_VECTORS_RAW[3])
-    p = Mat3Q(outer_rows(v, v))
+    p = mat_from_rows(outer_rows(v, v))
     assert _int_mat_mul(p, p) == tuple(e * p._den for e in p._num)
-    assert trace(p) == 1
+    assert trace(mat_rows(p)) == 1
 
 
 # ----------------------------------------------------------------- validation
@@ -343,8 +344,8 @@ def rotated_scenarios() -> list[CycleScenario]:
 def test_observables_match_fraction_rows_oracle():
     for s in rotated_scenarios():
         for u, a in zip(s.vectors, s.observables):
-            assert a.rows == observable_rows(u.v)
-            assert a == Mat3Q(observable_rows(u.v))
+            assert mat_rows(a) == observable_rows(u.v)
+            assert a == mat_from_rows(observable_rows(u.v))
 
 
 def test_correlators_match_fraction_rows_oracle():
@@ -359,7 +360,7 @@ def test_correlators_match_fraction_rows_oracle():
             expected = sum(x * y for x, y in zip(images[i], images[j]))
             assert correlator(s, i) == expected
             a, b = s.observables[i], s.observables[j]
-            assert correlator(s, i) == dot(rotated(a.rows, state), rotated(b.rows, state))
+            assert correlator(s, i) == dot(rotated(mat_rows(a), state), rotated(mat_rows(b), state))
         assert kcbs_value(s) == kcbs_value_via_projections(s)
 
 

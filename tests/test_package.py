@@ -11,7 +11,10 @@ EXPORTS = {
     # rationals
     "format_rational", "parse_rational", "to_decimal",
     # linalg3 (no matrix product: reports compare the private
-    # _int_mat_mul's ints, and no program path multiplies Mat3Q values)
+    # _int_mat_mul's ints, and no program path multiplies Mat3Q values).
+    # Mat3Q has no public constructor, since the program builds every matrix
+    # from ints with the private _mat; it stays exported as the type of each
+    # observable that make_observable returns and CycleScenario holds.
     "E_X", "E_Y", "E_Z", "Mat3Q", "Vec3Q", "cross", "dot", "norm_sq",
     # contextuality
     "CycleScenario", "CycleValidationError", "UnitVectorQ", "correlator", "kcbs_value",
