@@ -10,7 +10,6 @@ from .linalg3 import (
     E_X,
     E_Y,
     E_Z,
-    Mat3Q,
     Vec3Q,
     cross,
     dot,

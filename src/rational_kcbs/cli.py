@@ -40,7 +40,7 @@ from .contextuality import (
 )
 from .hv_models import classical_min_cycle, is_violation
 from .linalg3 import Vec3Q, _int_mat_mul, _ints, _vec
-from .rationals import _ratio, format_rational, to_decimal
+from .rationals import _FRACTION, _ratio, format_rational, to_decimal
 from .search import search
 
 DEFAULT_DIGITS = 3
@@ -55,11 +55,11 @@ class ConfigError(ValueError):
     """A config file has the wrong shape or a malformed fraction string."""
 
 
-# Three wire-format fraction texts (``rationals._FRACTION_RE``) joined by
-# single spaces, each with its numerator and denominator as groups.  No text
-# the wire format accepts holds a space, so a triple matches exactly when
-# each of its components does.
-_TRIPLE_RE = re.compile(" ".join([r"([+-]?[0-9]+)(?:/([0-9]+))?"] * 3))
+# Three wire-format fraction texts (``rationals._FRACTION``) joined by single
+# spaces, each with its numerator and denominator as groups.  No text the
+# wire format accepts holds a space, so a triple matches exactly when each of
+# its components does.
+_TRIPLE_RE = re.compile(" ".join([_FRACTION] * 3))
 
 
 def _triple_ratios(c0: str, c1: str, c2: str) -> tuple[tuple[int, int], ...]:
@@ -144,20 +144,18 @@ def scenario_config(s: CycleScenario) -> dict:
 def _run_checks(s: CycleScenario, value: Fraction, corrs: list[Fraction]) -> dict[str, bool]:
     """Exact re-checks of the named invariants, reported alongside results.
 
-    Each matrix check compares unreduced ints over one shared denominator:
-    A A over d = den^2 is I exactly when it reads (d, 0, 0, 0, d, 0, 0, 0, d),
-    and A B, B A are both over den_A * den_B, so both orders are computed
-    and compared int for int."""
-    observables = s.observables
+    Each observable is nine ints over a denominator den, and each matrix
+    check compares unreduced ints over one shared denominator: A A over
+    d = den^2 is I exactly when it reads (d, 0, 0, 0, d, 0, 0, 0, d), and
+    A B, B A are both over den_A * den_B, so both orders are computed and
+    compared int for int."""
     square_ok = all(
-        _int_mat_mul(a, a) == (d := a._den * a._den, 0, 0, 0, d, 0, 0, 0, d)
-        for a in observables
+        _int_mat_mul(a, a) == (d := den * den, 0, 0, 0, d, 0, 0, 0, d)
+        for a, den in s.observables
     )
-    trace_ok = all(a._num[0] + a._num[4] + a._num[8] == -a._den for a in observables)
-    commute_ok = all(
-        _int_mat_mul(a, b) == _int_mat_mul(b, a)
-        for a, b in zip(observables, observables[1:] + observables[:1])
-    )
+    trace_ok = all(a[0] + a[4] + a[8] == -den for a, den in s.observables)
+    mats = [a for a, _ in s.observables]
+    commute_ok = all(_int_mat_mul(a, b) == _int_mat_mul(b, a) for a, b in zip(mats, mats[1:] + mats[:1]))
     return {
         "observables_square_to_identity": square_ok,
         "observables_trace_minus_one": trace_ok,

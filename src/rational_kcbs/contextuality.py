@@ -5,11 +5,12 @@ adjacent pairs (indices mod n) are exactly orthogonal.  The unit type
 ``UnitVectorQ`` (for the state and for every direction) owns the norm
 check, made on the three ints over one denominator that its ``Vec3Q``
 holds (``_unit`` builds one straight from such ints); ``CycleScenario``
-owns the rest.  Each direction v carries the dichotomic observable
-``2|v><v| - 1`` with outcomes +-1, held as that ``Mat3Q`` and built straight
-from the direction's ints (``make_observable``); adjacent orthogonality makes
-adjacent observables commute, so each adjacent pair is jointly measurable and
-the cycle correlation sum is well defined.  The pentagon (n = 5) is the default;
+owns the rest.  Each direction v = n / d carries the dichotomic observable
+``2|v><v| - 1`` with outcomes +-1, held as the pair (nine row-major ints,
+d^2) in lowest terms and built straight from the direction's ints
+(``make_observable``); adjacent orthogonality makes adjacent observables
+commute, so each adjacent pair is jointly measurable and the cycle
+correlation sum is well defined.  The pentagon (n = 5) is the default;
 everything here works for any odd n >= 3 because the bound logic is
 identical.  Norm and adjacency checks are integer dot products.
 
@@ -35,11 +36,9 @@ from math import lcm
 from .linalg3 import (
     E_X,
     E_Y,
-    Mat3Q,
     Vec3Q,
     _int_dot,
     _int_mat_vec,
-    _mat,
     _vec,
     norm_sq,
 )
@@ -85,18 +84,22 @@ def _unit(num: tuple[int, int, int], den: int) -> UnitVectorQ:
     return UnitVectorQ(_vec(num, den))
 
 
-def make_observable(v: UnitVectorQ) -> Mat3Q:
-    """The +-1-valued observable ``2|v><v| - 1`` for direction v.
+def make_observable(v: UnitVectorQ) -> tuple[tuple[int, ...], int]:
+    """The +-1-valued observable ``2|v><v| - 1`` for direction v, as the pair
+    (nine row-major ints, d^2).
 
     Built in one step from the unit's ints: with v = n / d, entry (j, k) is
     ``2 n_j n_k - [j == k] d^2`` over ``d^2``.  The result is symmetric, has
     trace -1, and squares to the identity; all three follow exactly from
-    |v|^2 = 1, which the type guarantees.
+    |v|^2 = 1, which the type guarantees.  It is in lowest terms with no gcd
+    pass: d is odd, since an even d would make x^2 + y^2 + z^2 = 0 (mod 4)
+    and so x, y and z even, and an odd prime dividing d^2 and every entry
+    divides x, y and z.
     """
     x, y, z = v.v._num
     d2 = v.v._den * v.v._den
     xy, xz, yz = 2 * x * y, 2 * x * z, 2 * y * z
-    return _mat((2 * x * x - d2, xy, xz, xy, 2 * y * y - d2, yz, xz, yz, 2 * z * z - d2), d2)
+    return (2 * x * x - d2, xy, xz, xy, 2 * y * y - d2, yz, xz, yz, 2 * z * z - d2), d2
 
 
 def _check_length(n: int) -> None:
@@ -146,7 +149,7 @@ class CycleScenario:
         return len(self.vectors)
 
     @cached_property
-    def observables(self) -> tuple[Mat3Q, ...]:
+    def observables(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The direction observables: the one place a scenario builds them."""
         return tuple(make_observable(u) for u in self.vectors)
 

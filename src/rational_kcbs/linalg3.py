@@ -1,19 +1,21 @@
-"""Exact 3-dimensional rational vector and matrix algebra.
+"""Exact 3-dimensional rational vector algebra, and the integer kernels of
+3x3 rational matrices.
 
 Dimension is fixed at 3 throughout the package, which keeps every invariant
 total and every operation a fixed handful of exact products.  A ``Vec3Q``
-holds three ints over one positive denominator in lowest terms, and a
-``Mat3Q`` nine, so exact checks, products and comparisons run on Python ints;
-a Fraction is built only where a vector leaves the type (``x``, ``y``, ``z``
-and ``as_tuple()``); a matrix has no Fraction view.  A vector has no
-arithmetic of its own: ``dot``, ``norm_sq`` and ``cross`` are what
-certificates need.  The private constructors ``_vec`` and ``_mat`` (a
-matrix's only one) build a value straight from such ints, and share one gcd
-reduction (``_fill``).  The private integer kernels ``_ints``, ``_int_dot``
-and ``_int_mat_vec`` let callers keep a vector as three ints over one
-denominator and build one Fraction at the end; ``_int_mat_mul`` gives a
-product as nine ints over the product of the two denominators, for callers
-that only compare it.
+holds three ints over one positive denominator in lowest terms, so exact
+checks and comparisons run on Python ints; a Fraction is built only where a
+vector leaves the type (``x``, ``y``, ``z`` and ``as_tuple()``).  A vector
+has no arithmetic of its own: ``dot``, ``norm_sq`` and ``cross`` are what
+certificates need.  The private constructor ``_vec`` builds a vector
+straight from such ints, with the one gcd reduction (``_fill``).  A matrix
+has no type: it is nine row-major ints over one positive denominator, the
+pair that ``contextuality.make_observable`` returns.  The private integer
+kernels ``_ints``, ``_int_dot`` and ``_int_mat_vec`` (which takes such a
+pair) let callers keep a vector as three ints over one denominator and
+build one Fraction at the end; ``_int_mat_mul`` gives the product of two
+matrices' nine ints as nine ints over the product of their denominators,
+for callers that only compare it.
 A vector's components are ints or Fractions.  Floats are rejected at
 construction: once a binary-rounded value sneaks in, no downstream result is
 exact anymore.  Strings are rejected too: fraction text is parsed once, at
@@ -41,8 +43,8 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"exact rational required, got {type(value).__name__}: {value!r}")
 
 
-def _fill(m: "Vec3Q | Mat3Q", num: tuple[int, ...], den: int):
-    """Set m to num / den (row-major ints, den > 0) in lowest terms."""
+def _fill(m: Vec3Q, num: tuple[int, int, int], den: int) -> Vec3Q:
+    """Set m to num / den (den > 0) in lowest terms."""
     g = gcd(den, *num)
     if g != 1:
         num = tuple([e // g for e in num])
@@ -97,10 +99,6 @@ def _vec(num: tuple[int, int, int], den: int) -> Vec3Q:
     return _fill(object.__new__(Vec3Q), num, den)
 
 
-def _mat(num: tuple[int, ...], den: int) -> "Mat3Q":
-    return _fill(object.__new__(Mat3Q), num, den)
-
-
 def _ints(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """values as ints over their least common denominator."""
     den = lcm(*[c.denominator for c in values])
@@ -110,29 +108,6 @@ def _ints(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 E_X = Vec3Q(1, 0, 0)
 E_Y = Vec3Q(0, 1, 0)
 E_Z = Vec3Q(0, 0, 1)
-
-
-@dataclass(frozen=True, init=False, repr=False)
-class Mat3Q:
-    """Immutable 3x3 matrix with exact rational entries, row-major.
-
-    Held as nine ints over one positive denominator in lowest terms, and
-    built from them only by ``_mat``, so equality and hashing compare ints
-    whichever route reached the value; the repr shows the ints.
-    """
-
-    __slots__ = ("_num", "_den")  # as for Vec3Q
-    _num: tuple[int, ...]
-    _den: int
-
-    def __init__(self, *args, **kwargs):
-        raise TypeError("Mat3Q has no public constructor; _mat(num, den) builds one from ints")
-
-    def __repr__(self) -> str:
-        return f"Mat3Q(num={self._num!r}, den={self._den!r})"
-
-    def __reduce__(self):
-        return _mat, (self._num, self._den)
 
 
 def dot(u: Vec3Q, v: Vec3Q) -> Fraction:
@@ -152,10 +127,11 @@ def cross(u: Vec3Q, v: Vec3Q) -> Vec3Q:
     )
 
 
-def _int_mat_mul(a: Mat3Q, b: Mat3Q) -> tuple[int, ...]:
-    """a b as nine row-major ints over a._den * b._den, not reduced."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a._num
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b._num
+def _int_mat_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The nine row-major ints of a b, for matrices given as nine row-major
+    ints each: over the product of their denominators, not reduced."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
     return (
         a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
         a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
@@ -168,11 +144,14 @@ def _int_dot(u: Sequence[int], w: Sequence[int]) -> int:
     return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
 
 
-def _int_mat_vec(a: Mat3Q, num: Sequence[int], den: int) -> tuple[tuple[int, int, int], int]:
-    """a (num / den) as three ints over one positive denominator, not reduced."""
+def _int_mat_vec(
+    a: tuple[Sequence[int], int], num: Sequence[int], den: int
+) -> tuple[tuple[int, int, int], int]:
+    """a (num / den), for a matrix a given as (nine row-major ints, positive
+    denominator), as three ints over one positive denominator, not reduced."""
     x, y, z = num
-    n = a._num
+    n, a_den = a
     return (
         (n[0] * x + n[1] * y + n[2] * z, n[3] * x + n[4] * y + n[5] * z, n[6] * x + n[7] * y + n[8] * z),
-        a._den * den,
+        a_den * den,
     )

@@ -18,9 +18,11 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
-# Wire format: optional sign, digits, optionally "/" digits.  No whitespace,
-# no decimal points, no exponent forms.
-_FRACTION_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# Wire format: optional sign, digits, optionally "/" digits, with the
+# numerator and denominator as groups.  No whitespace, no decimal points, no
+# exponent forms.
+_FRACTION = r"([+-]?[0-9]+)(?:/([0-9]+))?"
+_FRACTION_RE = re.compile(_FRACTION)
 
 
 def _ratio(text: str) -> tuple[int, int]:
@@ -30,10 +32,11 @@ def _ratio(text: str) -> tuple[int, int]:
     Raises ValueError for text outside the format and ZeroDivisionError for a
     zero denominator.
     """
-    if not isinstance(text, str) or _FRACTION_RE.fullmatch(text) is None:
+    match = _FRACTION_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"malformed fraction text: {text!r}")
-    num_text, _, den_text = text.partition("/")
-    if den_text:
+    num_text, den_text = match.groups()
+    if den_text is not None:
         den = int(den_text)
         if den == 0:
             raise ZeroDivisionError(f"zero denominator in fraction text: {text!r}")

@@ -4,10 +4,11 @@ cycle operator and its quadratic form, the z-mirrored pentagons, the
 stereographic chart and its inverse, a report's exact re-checks
 (``report_checks_rows``) and the quantum bound of an odd cycle
 (``respects_quantum_bound``).  They share nothing with the program's integer
-matrix kernel; tests check its routes against them.  ``Mat3Q`` has no
-Fraction view and no public constructor, so ``mat_rows`` reads a matrix's
-ints as Fraction rows, and ``mat_from_rows`` hands ``_mat`` the ints of
-Fraction rows over their least common denominator.  ``closing_pairs_scan``
+matrix kernel; tests check its routes against them.  The program holds a
+matrix as the pair (nine row-major ints, positive denominator) in lowest
+terms: ``mat_rows`` reads such a pair as Fraction rows, ``mat_from_rows``
+builds one from Fraction rows, and ``mat_reduced`` brings nine ints over a
+denominator to lowest terms by its own gcd.  ``closing_pairs_scan``
 is the plain all-pairs closure scan, without the class rule of
 ``search._closing_pairs``.  ``jacobi_aim_rows`` is the float aim of
 ``search.optimal_state_numeric`` in loop form on lists of row lists, which
@@ -25,29 +26,38 @@ from typing import Callable, Sequence
 
 from rational_kcbs.cli import ConfigError
 from rational_kcbs.contextuality import UnitVectorQ, check_cycle_vectors
-from rational_kcbs.linalg3 import Mat3Q, Vec3Q, _mat, dot
+from rational_kcbs.linalg3 import Vec3Q, dot
 from rational_kcbs.rationals import _ratio
 
 Rows = tuple[tuple[Fraction, ...], ...]
+Mat = tuple[tuple[int, ...], int]
 
 IDENTITY_ROWS: Rows = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
 
 
-def mat_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Mat3Q:
-    """The Mat3Q of 3x3 rows of Fractions or ints: its nine entries as ints
-    over their least common denominator, handed to ``_mat``."""
+def mat_reduced(num: Sequence[int], den: int) -> Mat:
+    """The pair of nine ints over den > 0, divided by the gcd of all ten."""
+    g = math.gcd(den, *num)
+    return tuple(e // g for e in num), den // g
+
+
+def mat_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Mat:
+    """The lowest-terms pair of 3x3 rows of Fractions or ints: the nine
+    entries over the product of their denominators, reduced by
+    ``mat_reduced``."""
     entries = [Fraction(e) for row in rows for e in row]
-    den = math.lcm(*[e.denominator for e in entries])
-    return _mat(tuple(e.numerator * (den // e.denominator) for e in entries), den)
+    den = math.prod(e.denominator for e in entries)
+    return mat_reduced([e.numerator * (den // e.denominator) for e in entries], den)
 
 
-def mat_rows(m: Mat3Q) -> Rows:
-    """m as rows of Fractions, each of its nine ints over its denominator."""
-    n, d = m._num, m._den
+def mat_rows(m: Mat) -> Rows:
+    """The pair m as rows of Fractions, each of its nine ints over its
+    denominator."""
+    n, d = m
     return tuple(tuple(Fraction(e, d) for e in n[i:i + 3]) for i in (0, 3, 6))
 
 
-def identity_mat() -> Mat3Q:
+def identity_mat() -> Mat:
     """The 3x3 identity, built from its Fraction rows."""
     return mat_from_rows(IDENTITY_ROWS)
 

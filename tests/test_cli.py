@@ -248,11 +248,11 @@ def test_commute_check_computes_both_orders():
     # product with its transpose would pass; SHEAR SHEAR_SCALED differs from
     # SHEAR_SCALED SHEAR, so the check must read false
     cycle = (SHEAR, SHEAR_SCALED, SHEAR_CLOSING)
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+    for (a, _), (b, _) in zip(cycle, cycle[1:] + cycle[:1]):
         product = _int_mat_mul(a, b)
         assert product == tuple(product[3 * k + j] for j in range(3) for k in range(3))
     # both orders share one denominator, so unequal ints are unequal products
-    assert _int_mat_mul(SHEAR, SHEAR_SCALED) != _int_mat_mul(SHEAR_SCALED, SHEAR)
+    assert _int_mat_mul(SHEAR[0], SHEAR_SCALED[0]) != _int_mat_mul(SHEAR_SCALED[0], SHEAR[0])
     assert not cli._run_checks(*_with_observables(*cycle))["adjacent_observables_commute"]
 
 
@@ -434,7 +434,7 @@ def test_evaluate_runs_every_exact_matrix_check(capsys, tmp_path, monkeypatch):
     assert len(calls) == 15
     observables = reference_scenario().observables
     assert sum(a is b for a, b in calls) == 5
-    assert {a for a, _ in calls} == set(observables)
+    assert {a for a, _ in calls} == {num for num, _ in observables}
 
 
 # ---------------------------------------------------------------- config errors

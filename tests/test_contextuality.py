@@ -1,6 +1,9 @@
 import dataclasses
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,12 +28,15 @@ from rational_kcbs.linalg3 import (
     Vec3Q,
     _int_mat_mul,
     dot,
+    norm_sq,
 )
+from rational_kcbs.rationals import parse_rational
 from rational_kcbs.search import stereo_lift
 from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, odd_cycle, rand_fraction
 from tests.oracles import (
     cycle_operator,
     mat_from_rows,
+    mat_reduced,
     mat_rows,
     observable_rows,
     outer_rows,
@@ -145,16 +151,49 @@ def test_observable_invariants():
         m = make_observable(UnitVectorQ(v))
         assert mat_rows(m) == tuple(zip(*mat_rows(m)))
         assert trace(mat_rows(m)) == -1
-        d = m._den ** 2  # the product's denominator
-        assert _int_mat_mul(m, m) == (d, 0, 0, 0, d, 0, 0, 0, d)
+        num, den = m
+        d = den ** 2  # the product's denominator
+        assert _int_mat_mul(num, num) == (d, 0, 0, 0, d, 0, 0, 0, d)
 
 
 def test_projector_idempotent():
     # |v><v| for a unit v: the projector behind the projection route
     v = Vec3Q(*REF_VECTORS_RAW[3])
     p = mat_from_rows(outer_rows(v, v))
-    assert _int_mat_mul(p, p) == tuple(e * p._den for e in p._num)
+    num, den = p
+    assert _int_mat_mul(num, num) == tuple(e * den for e in num)
+    assert mat_reduced(_int_mat_mul(num, num), den * den) == p
     assert trace(mat_rows(p)) == 1
+
+
+def _observable_in_lowest_terms(m, u: UnitVectorQ) -> bool:
+    """m is the pair (nine ints, d^2) of 2 u u^T - I in lowest terms: an odd
+    denominator, no factor shared by all ten ints, and equal to the reducing
+    oracle's pair."""
+    num, den = m
+    return den % 2 == 1 and math.gcd(den, *num) == 1 and m == mat_from_rows(observable_rows(u.v))
+
+
+def test_every_observable_is_in_lowest_terms():
+    # make_observable runs no gcd pass: a unit in lowest terms has an odd d,
+    # and an odd prime dividing d^2 and every entry would divide x, y and z
+    rng = random.Random(7171)
+    units = [stereo_lift(rand_fraction(rng, 10**60, 10**60), rand_fraction(rng, 10**60, 10**60))
+             for _ in range(200)]
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+    for config in golden["configs"].values():
+        for raw in config["vectors"]:
+            v = Vec3Q(*(parse_rational(c) for c in raw))
+            if norm_sq(v) == 1:
+                units.append(UnitVectorQ(v))
+    assert len(units) == 200 + 30
+    assert max(u.v._den for u in units) > 10**100
+    for u in units:
+        m = make_observable(u)
+        assert _observable_in_lowest_terms(m, u), u
+        num, den = m
+        for k in (2, 3):  # a scaled pair names the same matrix but fails
+            assert not _observable_in_lowest_terms((tuple(k * e for e in num), k * den), u)
 
 
 # ----------------------------------------------------------------- validation
@@ -248,21 +287,23 @@ def test_validation_checks_each_invariant_once(monkeypatch):
 
 
 def test_observables_build_each_matrix_once(monkeypatch):
-    # one _mat per observable, from the ints the unit type already holds:
-    # no conversion to ints, no intermediate matrix
+    # one make_observable per direction, from the ints the unit type already
+    # holds: no conversion to ints, no reduction, no intermediate value
     s = reference_scenario()
-    calls = {"_mat": 0, "_ints": 0}
-    originals = {name: getattr(linalg3, name) for name in calls}
-    for name, fn in originals.items():
-
-        def wrapper(*args, _name=name, _fn=fn):
-            calls[_name] += 1
-            return _fn(*args)
-
+    calls = {"make_observable": 0, "_fill": 0, "_vec": 0, "_ints": 0}
+    for name in calls:
         for module in (linalg3, contextuality):
-            monkeypatch.setattr(module, name, wrapper, raising=False)
+            fn = getattr(module, name, None)
+            if fn is None:
+                continue
+
+            def wrapper(*args, _name=name, _fn=fn):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
     assert len(s.observables) == 5
-    assert calls == {"_mat": 5, "_ints": 0}
+    assert calls == {"make_observable": 5, "_fill": 0, "_vec": 0, "_ints": 0}
 
 
 def test_direct_scenario_construction_checks_geometry():
@@ -437,7 +478,7 @@ def test_two_routes_agree():
 
 def test_adjacent_observables_commute():
     s = reference_scenario()
-    mats = [make_observable(u) for u in s.vectors]
+    mats = [make_observable(u)[0] for u in s.vectors]
     for i in range(5):
         assert _int_mat_mul(mats[i], mats[(i + 1) % 5]) == _int_mat_mul(mats[(i + 1) % 5], mats[i])
 

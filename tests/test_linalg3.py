@@ -8,17 +8,17 @@ from fractions import Fraction
 
 import pytest
 
+from rational_kcbs import linalg3
+from rational_kcbs.contextuality import UnitVectorQ, make_observable
 from rational_kcbs.linalg3 import (
     E_X,
     E_Y,
     E_Z,
-    Mat3Q,
     Vec3Q,
     _int_dot,
     _int_mat_mul,
     _int_mat_vec,
     _ints,
-    _mat,
     _vec,
     cross,
     dot,
@@ -26,8 +26,10 @@ from rational_kcbs.linalg3 import (
 )
 from tests.conftest import REF_STATE_RAW, REF_VECTORS_RAW, rand_vec
 from tests.oracles import (
+    Mat,
     identity_mat,
     mat_from_rows,
+    mat_reduced,
     mat_rows,
     observable_rows,
     quadratic_form,
@@ -63,13 +65,13 @@ def test_vector_value_semantics():
 
 
 def test_values_copy_and_pickle_and_refuse_assignment():
-    m = mat_from_rows(((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 3)))
-    for value in (Vec3Q(Fraction(6, 10), Fraction(-8, 10), 0), E_X, m, identity_mat()):
+    v = Vec3Q(Fraction(6, 10), Fraction(-8, 10), 0)
+    for value in (v, E_X):
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
     for name in ("_num", "_den", "other"):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(m, name, None)
+            setattr(v, name, None)
     with pytest.raises(dataclasses.FrozenInstanceError):
         E_X.other = 1
 
@@ -188,37 +190,39 @@ def test_lagrange_identity():
 
 def test_matrix_constructors():
     ident = identity_mat()
+    assert ident == ((1, 0, 0, 0, 1, 0, 0, 0, 1), 1)
     assert trace(mat_rows(ident)) == 3
     assert mat_rows(ident) == tuple(zip(*mat_rows(ident)))
     d = mat_from_rows(((1, 0, 0), (0, -1, 0), (0, 0, -1)))
-    assert (d._num, d._den) == ((1, 0, 0, 0, -1, 0, 0, 0, -1), 1)
-    assert d == _mat((2, 0, 0, 0, -2, 0, 0, 0, -2), 2)
+    assert d == ((1, 0, 0, 0, -1, 0, 0, 0, -1), 1)
+    assert d == mat_reduced((2, 0, 0, 0, -2, 0, 0, 0, -2), 2)
+    assert mat_from_rows(((Fraction(1, 6), 0, 0), (0, Fraction(1, 4), 0), (0, 0, 1))) == (
+        (2, 0, 0, 0, 3, 0, 0, 0, 12), 12)
     assert mat_rows(d) == ((1, 0, 0), (0, -1, 0), (0, 0, -1))
     assert all(isinstance(e, Fraction) for row in mat_rows(d) for e in row)
 
 
 def test_matrix_is_built_only_from_ints():
-    # _mat is the only constructor, and a matrix has no Fraction view
-    refused = re.escape("Mat3Q has no public constructor")
-    with pytest.raises(TypeError, match=refused):
-        Mat3Q(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    with pytest.raises(TypeError, match=refused):
-        Mat3Q()
-    with pytest.raises(TypeError, match=refused):
-        Mat3Q(rows=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    m = _mat((2, 0, 0, 0, -2, 0, 0, 0, 2), 4)
-    assert not hasattr(m, "rows") and not hasattr(Mat3Q, "rows")
-    assert repr(m) == "Mat3Q(num=(1, 0, 0, 0, -1, 0, 0, 0, 1), den=2)"
-    assert repr(identity_mat()) == "Mat3Q(num=(1, 0, 0, 0, 1, 0, 0, 0, 1), den=1)"
+    # a matrix has no type: an observable is its nine row-major ints over d^2
+    assert not hasattr(linalg3, "Mat3Q") and not hasattr(linalg3, "_mat")
+    classes = [name for name, obj in vars(linalg3).items()
+               if isinstance(obj, type) and obj.__module__ == linalg3.__name__]
+    assert classes == ["Vec3Q"]
+    num, den = make_observable(UnitVectorQ(Vec3Q(Fraction(48, 73), 0, Fraction(-55, 73))))
+    assert type(num) is tuple and len(num) == 9 and all(type(e) is int for e in num)
+    assert type(den) is int and den == 73 * 73
+    assert num == (2 * 48 * 48 - den, 0, -2 * 48 * 55, 0, -den, 0, -2 * 48 * 55, 0, 2 * 55 * 55 - den)
 
 
-def transpose(m: Mat3Q) -> Mat3Q:
+def transpose(m: Mat) -> Mat:
     return mat_from_rows(tuple(zip(*mat_rows(m))))
 
 
-def product_rows(a: Mat3Q, b: Mat3Q) -> tuple[tuple[Fraction, ...], ...]:
-    """a b as Fraction rows, from the kernel's ints over a._den * b._den."""
-    d, n = a._den * b._den, _int_mat_mul(a, b)
+def product_rows(a: Mat, b: Mat) -> tuple[tuple[Fraction, ...], ...]:
+    """a b as Fraction rows, from the kernel's ints over the product of the
+    two denominators."""
+    (an, ad), (bn, bd) = a, b
+    d, n = ad * bd, _int_mat_mul(an, bn)
     return tuple(tuple(Fraction(e, d) for e in n[i:i + 3]) for i in (0, 3, 6))
 
 
@@ -256,13 +260,13 @@ def test_reflection_observables_commute_on_orthogonal_pair():
     # 2|v><v| - 1 from Fraction rows for the first two reference directions
     a0 = mat_from_rows(observable_rows(Vec3Q(*REF_VECTORS_RAW[0])))
     a1 = mat_from_rows(observable_rows(Vec3Q(*REF_VECTORS_RAW[1])))
-    assert _int_mat_mul(a0, a1) == _int_mat_mul(a1, a0)
+    assert _int_mat_mul(a0[0], a1[0]) == _int_mat_mul(a1[0], a0[0])
     assert product_rows(a0, a0) == mat_rows(identity_mat())
 
 
 # ------------------------------------------------ oracle for the matrix kernel
-# Mat3Q computes on nine ints over one denominator; tests.oracles computes
-# the same operations on plain rows of Fractions.
+# The kernels compute on nine ints over one denominator; tests.oracles
+# computes the same operations on plain rows of Fractions.
 
 
 def rand_entry(rng: random.Random) -> Fraction:
@@ -322,20 +326,22 @@ def test_equal_values_compare_and_hash_alike_by_any_route():
     for _ in range(100):
         ra = rand_rows(rng)
         a = mat_from_rows(ra)
+        (an, ad), (idn, _) = a, ident
         routes = [
-            _mat(_int_mat_mul(a, ident), a._den), _mat(_int_mat_mul(ident, a), a._den),
+            mat_reduced(_int_mat_mul(an, idn), ad), mat_reduced(_int_mat_mul(idn, an), ad),
             mat_from_rows(mat_rows(a)),
         ]
         for m in routes:
             assert m == a and hash(m) == hash(a)
         assert len(set(routes)) == 1
-    half = _mat((2, 0, 0, 0, 0, 0, 0, 0, 0), 4)
+    half = mat_reduced((2, 0, 0, 0, 0, 0, 0, 0, 0), 4)
     assert half == mat_from_rows(((Fraction(1, 2), 0, 0), (0, 0, 0), (0, 0, 0)))
     assert hash(half) == hash(mat_from_rows(((Fraction(1, 2), 0, 0), (0, 0, 0), (0, 0, 0))))
     assert mat_from_rows(((Fraction(1), 0, 0), (0, 1, 0), (0, 0, 1))) == ident
     # an observable squared reaches the identity over a denominator of 1
     obs = mat_from_rows(observable_rows(Vec3Q(*REF_VECTORS_RAW[3])))
-    square = _mat(_int_mat_mul(obs, obs), obs._den ** 2)
+    assert make_observable(UnitVectorQ(Vec3Q(*REF_VECTORS_RAW[3]))) == obs
+    square = mat_reduced(_int_mat_mul(obs[0], obs[0]), obs[1] ** 2)
     assert square == ident and hash(square) == hash(ident)
     assert ident != mat_rows(ident)
 

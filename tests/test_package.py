@@ -11,11 +11,11 @@ EXPORTS = {
     # rationals
     "format_rational", "parse_rational", "to_decimal",
     # linalg3 (no matrix product: reports compare the private
-    # _int_mat_mul's ints, and no program path multiplies Mat3Q values).
-    # Mat3Q has no public constructor, since the program builds every matrix
-    # from ints with the private _mat; it stays exported as the type of each
-    # observable that make_observable returns and CycleScenario holds.
-    "E_X", "E_Y", "E_Z", "Mat3Q", "Vec3Q", "cross", "dot", "norm_sq",
+    # _int_mat_mul's ints).  No matrix type either: Mat3Q had no
+    # constructor, view or operation left, and every caller read its ints,
+    # so an observable is the pair (nine row-major ints, d^2) that
+    # make_observable returns and CycleScenario holds.
+    "E_X", "E_Y", "E_Z", "Vec3Q", "cross", "dot", "norm_sq",
     # contextuality
     "CycleScenario", "CycleValidationError", "UnitVectorQ", "correlator", "kcbs_value",
     "kcbs_value_via_projections", "make_observable", "reference_scenario", "validate_cycle",
