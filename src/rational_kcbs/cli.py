@@ -15,9 +15,10 @@ Config file schema (UTF-8 JSON, read with text mode's universal newlines)::
     {"state": ["354/527", "357/527", "-158/527"],
      "vectors": [["1", "0", "0"], ...]}
 
-Each triple of fraction strings is matched as one text and read straight
-into a ``Vec3Q``'s ints over the lcm of its denominators; reading and
-validating a config builds no Fraction.
+Each triple of fraction strings is matched as one text by
+``rationals._triple_ratios`` and read straight into a ``Vec3Q``'s ints over
+the lcm of its denominators; reading and validating a config builds no
+Fraction.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -33,14 +33,15 @@ from math import lcm
 from .contextuality import (
     CycleScenario,
     CycleValidationError,
+    _observable_checks,
     correlator,
     kcbs_value_via_projections,
     reference_scenario,
     validate_cycle,
 )
 from .hv_models import classical_min_cycle, is_violation
-from .linalg3 import Vec3Q, _int_mat_mul, _ints, _vec
-from .rationals import _FRACTION, _ratio, format_rational, to_decimal
+from .linalg3 import Vec3Q, _ints, _vec
+from .rationals import _triple_ratios, format_rational, to_decimal
 from .search import search
 
 DEFAULT_DIGITS = 3
@@ -53,29 +54,6 @@ MAX_BOUND_N = 100_001
 
 class ConfigError(ValueError):
     """A config file has the wrong shape or a malformed fraction string."""
-
-
-# Three wire-format fraction texts (``rationals._FRACTION``) joined by single
-# spaces, each with its numerator and denominator as groups.  No text the
-# wire format accepts holds a space, so a triple matches exactly when each of
-# its components does.
-_TRIPLE_RE = re.compile(" ".join([_FRACTION] * 3))
-
-
-def _triple_ratios(c0: str, c1: str, c2: str) -> tuple[tuple[int, int], ...]:
-    """The (p, q) ints of three fraction texts as written, read by one match;
-    where it gives none, ``_ratio`` on each text in order raises for the
-    first one it refuses."""
-    match = _TRIPLE_RE.fullmatch(f"{c0} {c1} {c2}")
-    if match:
-        try:  # "1" for an absent denominator
-            p0, q0, p1, q1, p2, q2 = map(int, match.groups("1"))
-        except ValueError:  # a part beyond the int-from-string digit limit
-            pass
-        else:
-            if q0 and q1 and q2:
-                return (p0, q0), (p1, q1), (p2, q2)
-    return _ratio(c0), _ratio(c1), _ratio(c2)
 
 
 def _parse_triple(raw: object, what: str) -> Vec3Q:
@@ -142,20 +120,8 @@ def scenario_config(s: CycleScenario) -> dict:
 
 
 def _run_checks(s: CycleScenario, value: Fraction, corrs: list[Fraction]) -> dict[str, bool]:
-    """Exact re-checks of the named invariants, reported alongside results.
-
-    Each observable is nine ints over a denominator den, and each matrix
-    check compares unreduced ints over one shared denominator: A A over
-    d = den^2 is I exactly when it reads (d, 0, 0, 0, d, 0, 0, 0, d), and
-    A B, B A are both over den_A * den_B, so both orders are computed and
-    compared int for int."""
-    square_ok = all(
-        _int_mat_mul(a, a) == (d := den * den, 0, 0, 0, d, 0, 0, 0, d)
-        for a, den in s.observables
-    )
-    trace_ok = all(a[0] + a[4] + a[8] == -den for a, den in s.observables)
-    mats = [a for a, _ in s.observables]
-    commute_ok = all(_int_mat_mul(a, b) == _int_mat_mul(b, a) for a, b in zip(mats, mats[1:] + mats[:1]))
+    """Exact re-checks of the named invariants, reported alongside results."""
+    square_ok, trace_ok, commute_ok = _observable_checks(s.observables)
     return {
         "observables_square_to_identity": square_ok,
         "observables_trace_minus_one": trace_ok,

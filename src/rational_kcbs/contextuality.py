@@ -8,9 +8,11 @@ holds (``_unit`` builds one straight from such ints); ``CycleScenario``
 owns the rest.  Each direction v = n / d carries the dichotomic observable
 ``2|v><v| - 1`` with outcomes +-1, held as the pair (nine row-major ints,
 d^2) in lowest terms and built straight from the direction's ints
-(``make_observable``); adjacent orthogonality makes adjacent observables
-commute, so each adjacent pair is jointly measurable and the cycle
-correlation sum is well defined.  The pentagon (n = 5) is the default;
+(``make_observable``); only this module reads those nine ints, in the
+kernels ``_int_mat_vec`` and ``_int_mat_mul`` and the report's matrix
+re-checks (``_observable_checks``).  Adjacent orthogonality makes adjacent
+observables commute, so each adjacent pair is jointly measurable and the
+cycle correlation sum is well defined.  The pentagon (n = 5) is the default;
 everything here works for any odd n >= 3 because the bound logic is
 identical.  Norm and adjacency checks are integer dot products.
 
@@ -38,7 +40,6 @@ from .linalg3 import (
     E_Y,
     Vec3Q,
     _int_dot,
-    _int_mat_vec,
     _vec,
     norm_sq,
 )
@@ -100,6 +101,46 @@ def make_observable(v: UnitVectorQ) -> tuple[tuple[int, ...], int]:
     d2 = v.v._den * v.v._den
     xy, xz, yz = 2 * x * y, 2 * x * z, 2 * y * z
     return (2 * x * x - d2, xy, xz, xy, 2 * y * y - d2, yz, xz, yz, 2 * z * z - d2), d2
+
+
+def _int_mat_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The nine row-major ints of a b, for matrices given as nine row-major
+    ints each: over the product of their denominators, not reduced."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    )
+
+
+def _int_mat_vec(
+    a: tuple[Sequence[int], int], num: Sequence[int], den: int
+) -> tuple[tuple[int, int, int], int]:
+    """a (num / den), for a matrix a given as (nine row-major ints, positive
+    denominator), as three ints over one positive denominator, not reduced."""
+    x, y, z = num
+    n, a_den = a
+    return (
+        (n[0] * x + n[1] * y + n[2] * z, n[3] * x + n[4] * y + n[5] * z, n[6] * x + n[7] * y + n[8] * z),
+        a_den * den,
+    )
+
+
+def _observable_checks(observables: Sequence[tuple[Sequence[int], int]]) -> tuple[bool, bool, bool]:
+    """The report's matrix re-checks of (nine row-major ints, den) pairs:
+    each squares to I, has trace -1 and commutes with the next (mod n).
+    A A over d = den^2 is I exactly when it reads (d, 0, 0, 0, d, 0, 0, 0, d);
+    A B and B A share den_A * den_B, so both are computed and compared."""
+    square_ok = all(
+        _int_mat_mul(a, a) == (d := den * den, 0, 0, 0, d, 0, 0, 0, d)
+        for a, den in observables
+    )
+    trace_ok = all(a[0] + a[4] + a[8] == -den for a, den in observables)
+    mats = [a for a, _ in observables]
+    commute_ok = all(_int_mat_mul(a, b) == _int_mat_mul(b, a) for a, b in zip(mats, mats[1:] + mats[:1]))
+    return square_ok, trace_ok, commute_ok
 
 
 def _check_length(n: int) -> None:

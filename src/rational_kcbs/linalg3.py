@@ -1,5 +1,4 @@
-"""Exact 3-dimensional rational vector algebra, and the integer kernels of
-3x3 rational matrices.
+"""Exact 3-dimensional rational vector algebra.
 
 Dimension is fixed at 3 throughout the package, which keeps every invariant
 total and every operation a fixed handful of exact products.  A ``Vec3Q``
@@ -7,15 +6,13 @@ holds three ints over one positive denominator in lowest terms, so exact
 checks and comparisons run on Python ints; a Fraction is built only where a
 vector leaves the type (``x``, ``y``, ``z`` and ``as_tuple()``).  A vector
 has no arithmetic of its own: ``dot``, ``norm_sq`` and ``cross`` are what
-certificates need.  The private constructor ``_vec`` builds a vector
-straight from such ints, with the one gcd reduction (``_fill``).  A matrix
-has no type: it is nine row-major ints over one positive denominator, the
-pair that ``contextuality.make_observable`` returns.  The private integer
-kernels ``_ints``, ``_int_dot`` and ``_int_mat_vec`` (which takes such a
-pair) let callers keep a vector as three ints over one denominator and
-build one Fraction at the end; ``_int_mat_mul`` gives the product of two
-matrices' nine ints as nine ints over the product of their denominators,
-for callers that only compare it.
+certificates need, each computed on the vectors' ints.  The private
+constructor ``_vec`` builds a vector straight from such ints, with the one
+gcd reduction (``_fill``).  The private integer kernels ``_ints`` and
+``_int_dot`` let callers keep a vector as three ints over one denominator
+and build one Fraction at the end.  A matrix has no type here: an
+observable's nine ints, and the kernels that multiply them, belong to
+``contextuality``.
 A vector's components are ints or Fractions.  Floats are rejected at
 construction: once a binary-rounded value sneaks in, no downstream result is
 exact anymore.  Strings are rejected too: fraction text is parsed once, at
@@ -112,7 +109,7 @@ E_Z = Vec3Q(0, 0, 1)
 
 def dot(u: Vec3Q, v: Vec3Q) -> Fraction:
     """Exact inner product (components are real, no conjugation)."""
-    return u.x * v.x + u.y * v.y + u.z * v.z
+    return Fraction(_int_dot(u._num, v._num), u._den * v._den)
 
 
 def norm_sq(v: Vec3Q) -> Fraction:
@@ -120,38 +117,10 @@ def norm_sq(v: Vec3Q) -> Fraction:
 
 
 def cross(u: Vec3Q, v: Vec3Q) -> Vec3Q:
-    return Vec3Q(
-        u.y * v.z - u.z * v.y,
-        u.z * v.x - u.x * v.z,
-        u.x * v.y - u.y * v.x,
-    )
-
-
-def _int_mat_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """The nine row-major ints of a b, for matrices given as nine row-major
-    ints each: over the product of their denominators, not reduced."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (
-        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
-        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
-        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
-    )
+    (ux, uy, uz), (vx, vy, vz) = u._num, v._num
+    return _vec((uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx), u._den * v._den)
 
 
 def _int_dot(u: Sequence[int], w: Sequence[int]) -> int:
     """Inner product of two int triples."""
     return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
-
-
-def _int_mat_vec(
-    a: tuple[Sequence[int], int], num: Sequence[int], den: int
-) -> tuple[tuple[int, int, int], int]:
-    """a (num / den), for a matrix a given as (nine row-major ints, positive
-    denominator), as three ints over one positive denominator, not reduced."""
-    x, y, z = num
-    n, a_den = a
-    return (
-        (n[0] * x + n[1] * y + n[2] * z, n[3] * x + n[4] * y + n[5] * z, n[6] * x + n[7] * y + n[8] * z),
-        a_den * den,
-    )

@@ -4,18 +4,20 @@ cycle operator and its quadratic form, the z-mirrored pentagons, the
 stereographic chart and its inverse, a report's exact re-checks
 (``report_checks_rows``) and the quantum bound of an odd cycle
 (``respects_quantum_bound``).  They share nothing with the program's integer
-matrix kernel; tests check its routes against them.  The program holds a
-matrix as the pair (nine row-major ints, positive denominator) in lowest
-terms: ``mat_rows`` reads such a pair as Fraction rows, ``mat_from_rows``
-builds one from Fraction rows, and ``mat_reduced`` brings nine ints over a
-denominator to lowest terms by its own gcd.  ``closing_pairs_scan``
+matrix kernels (``contextuality._int_mat_mul`` and ``_int_mat_vec``); tests
+check its routes against them.  The program holds a matrix as the pair (nine
+row-major ints, positive denominator) in lowest terms, which only
+``contextuality`` reads: ``mat_rows`` reads such a pair as Fraction rows,
+``mat_from_rows`` builds one from Fraction rows, and ``mat_reduced`` brings
+nine ints over a denominator to lowest terms by its own gcd.  ``closing_pairs_scan``
 is the plain all-pairs closure scan, without the class rule of
 ``search._closing_pairs``.  ``jacobi_aim_rows`` is the float aim of
 ``search.optimal_state_numeric`` in loop form on lists of row lists, which
 the program's written-out rotations on float locals must reproduce bit for
 bit.  ``parse_triple_by_components`` reads a config triple with one
-``rationals._ratio`` call per component, the route ``cli._parse_triple``'s
-one-pattern match must agree with."""
+``rationals._ratio`` call per component, the route that
+``rationals._triple_ratios``' one-pattern match, read through
+``cli._parse_triple``, must agree with."""
 
 from __future__ import annotations
 

@@ -14,6 +14,7 @@ from rational_kcbs.cli import MAX_BOUND_N, MAX_DIGITS, main
 from rational_kcbs.contextuality import (
     CycleValidationError,
     UnitVectorQ,
+    _int_mat_mul,
     correlator,
     kcbs_value,
     kcbs_value_via_projections,
@@ -21,7 +22,7 @@ from rational_kcbs.contextuality import (
     reference_scenario,
     validate_cycle,
 )
-from rational_kcbs.linalg3 import Vec3Q, _int_mat_mul, dot
+from rational_kcbs.linalg3 import Vec3Q, dot
 from rational_kcbs.rationals import format_rational, parse_rational
 from rational_kcbs.search import stereo_lift
 from tests.conftest import REF_KCBS_VALUE, int_limit_message, odd_cycle, rand_fraction, rand_wire_text, rotation
@@ -420,15 +421,14 @@ def test_evaluate_computes_each_state_image_once(capsys, tmp_path, monkeypatch):
 def test_evaluate_runs_every_exact_matrix_check(capsys, tmp_path, monkeypatch):
     # 5 squares A_i A_i plus both orders of the 5 adjacent products
     calls = []
-    fn = linalg3._int_mat_mul
+    fn = contextuality._int_mat_mul
 
     def counting(a, b):
         calls.append((a, b))
         return fn(a, b)
 
-    # every module of the program that binds the integer product
-    for module in (linalg3, cli):
-        monkeypatch.setattr(module, "_int_mat_mul", counting)
+    # the one module of the program that binds the integer product
+    monkeypatch.setattr(contextuality, "_int_mat_mul", counting)
     code, _, _ = run_cli(capsys, "evaluate", write_config(tmp_path, REF_CONFIG))
     assert code == 0
     assert len(calls) == 15

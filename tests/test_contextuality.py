@@ -14,6 +14,7 @@ from rational_kcbs.contextuality import (
     CycleScenario,
     CycleValidationError,
     UnitVectorQ,
+    _int_mat_mul,
     correlator,
     kcbs_value,
     kcbs_value_via_projections,
@@ -26,7 +27,6 @@ from rational_kcbs.linalg3 import (
     E_Y,
     E_Z,
     Vec3Q,
-    _int_mat_mul,
     dot,
     norm_sq,
 )

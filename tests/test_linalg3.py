@@ -9,15 +9,13 @@ from fractions import Fraction
 import pytest
 
 from rational_kcbs import linalg3
-from rational_kcbs.contextuality import UnitVectorQ, make_observable
+from rational_kcbs.contextuality import UnitVectorQ, _int_mat_mul, _int_mat_vec, make_observable
 from rational_kcbs.linalg3 import (
     E_X,
     E_Y,
     E_Z,
     Vec3Q,
     _int_dot,
-    _int_mat_mul,
-    _int_mat_vec,
     _ints,
     _vec,
     cross,
@@ -315,6 +313,10 @@ def test_integer_vector_kernels_match_fraction_rows_oracle():
         assert tuple(Fraction(c, ud) for c in un) == u.as_tuple()
         assert all(ud % c.denominator == 0 for c in u.as_tuple())
         assert Fraction(_int_dot(un, vn), ud * vd) == sum(x * y for x, y in zip(u.as_tuple(), v.as_tuple()))
+        # dot and cross compute on those ints; the Fraction component formulas
+        (ux, uy, uz), (vx, vy, vz) = u.as_tuple(), v.as_tuple()
+        assert dot(u, v) == ux * vx + uy * vy + uz * vz and type(dot(u, v)) is Fraction
+        assert cross(u, v).as_tuple() == (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
         wn, wd = _int_mat_vec(a, un, ud)
         assert wd > 0 and all(isinstance(c, int) for c in wn)
         assert tuple(Fraction(c, wd) for c in wn) == ref_vec(ra, u.as_tuple())

@@ -10,10 +10,10 @@ import rational_kcbs
 EXPORTS = {
     # rationals
     "format_rational", "parse_rational", "to_decimal",
-    # linalg3 (no matrix product: reports compare the private
-    # _int_mat_mul's ints).  No matrix type either: Mat3Q had no
-    # constructor, view or operation left, and every caller read its ints,
-    # so an observable is the pair (nine row-major ints, d^2) that
+    # linalg3 (no matrix product: reports compare the ints of
+    # contextuality's private _int_mat_mul).  No matrix type either: Mat3Q
+    # had no constructor, view or operation left, and every caller read its
+    # ints, so an observable is the pair (nine row-major ints, d^2) that
     # make_observable returns and CycleScenario holds.
     "E_X", "E_Y", "E_Z", "Vec3Q", "cross", "dot", "norm_sq",
     # contextuality
@@ -59,3 +59,34 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], (module.name, lines)
+
+
+def _top_level(module: Path) -> tuple[set[str], set[str]]:
+    """The names a module defines at its top level (functions, classes and
+    assignment targets) and the names it imports."""
+    defined, imported = set(), set()
+    for node in ast.parse(module.read_text(encoding="utf-8"), filename=str(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(target.id for target in targets if isinstance(target, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return defined, imported
+
+
+def test_each_integer_format_has_one_owning_module():
+    # contextuality alone holds the observable's nine ints and the kernels
+    # that multiply them; rationals alone reads the fraction token's groups
+    package = Path(rational_kcbs.__file__).resolve().parent
+    tops = {module.stem: _top_level(module) for module in sorted(package.glob("*.py"))}
+    owners = {
+        "_int_mat_mul": {"contextuality"}, "_int_mat_vec": {"contextuality"},
+        "_FRACTION": {"rationals"}, "_ratio": {"rationals"},
+        "_TRIPLE_RE": {"rationals"}, "_triple_ratios": {"rationals"},
+    }
+    for name, owner in owners.items():
+        assert {stem for stem, (defined, _) in tops.items() if name in defined} == owner, name
+    _, cli_imports = tops["cli"]
+    assert cli_imports.isdisjoint({"_int_mat_mul", "_FRACTION", "_ratio", "_TRIPLE_RE"}), cli_imports

@@ -9,7 +9,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from rational_kcbs.contextuality import (
@@ -340,6 +339,7 @@ class TestBestRationalApprox:
 
 class TestOptimalStateNumeric:
     def test_reference_pentagon(self):
+        np = pytest.importorskip("numpy")
         vectors = [UnitVectorQ(Vec3Q(*c)) for c in REF_VECTORS_RAW]
         vec, lam = optimal_state_numeric(vectors)
         assert -3.95 < lam < -3.9406
@@ -361,6 +361,7 @@ class TestOptimalStateNumeric:
     def test_residual_check_raises_above_tolerance(self, monkeypatch):
         # at tolerance 0 the reference pentagon's rounding-level residual fails
         # the check, and the message names numpy's residual of the same pair
+        np = pytest.importorskip("numpy")
         vectors = [UnitVectorQ(Vec3Q(*c)) for c in REF_VECTORS_RAW]
         vec, lam = optimal_state_numeric(vectors)
         op = np.array([[float(e) for e in row] for row in cycle_operator(vectors)])
@@ -406,6 +407,7 @@ SPECIAL_CYCLES = {
 
 def eigh_of_cycle_operator(vectors):
     """Smallest eigenpair of the exact cycle operator by numpy.linalg.eigh."""
+    np = pytest.importorskip("numpy")
     op = cycle_operator(vectors)
     eigenvalues, eigenvectors = np.linalg.eigh(np.array([[float(e) for e in row] for row in op]))
     return eigenvectors[:, 0], float(eigenvalues[0]), eigenvalues
@@ -420,6 +422,7 @@ class TestGramAim:
             assert cycle_operator(vectors) == ref_map(lambda i, g: n * i - 4 * g, IDENTITY_ROWS, gram(vectors))
 
     def test_eigenpair_matches_eigh(self, pentagons_30):
+        np = pytest.importorskip("numpy")
         unique = pentagons_30 + ODD_CYCLES[2:] + [
             SPECIAL_CYCLES["repeated-smaller"], SPECIAL_CYCLES["diagonal"]
         ]
@@ -438,6 +441,7 @@ class TestGramAim:
     def test_degenerate_eigenvalue(self, vectors):
         # the smallest eigenvalue of the operator is repeated, so every unit
         # vector of its eigenspace is an optimal state
+        np = pytest.importorskip("numpy")
         vec, lam = optimal_state_numeric(vectors)
         _ref_vec, ref_lam, eigenvalues = eigh_of_cycle_operator(vectors)
         assert abs(eigenvalues[1] - eigenvalues[0]) < 1e-12
@@ -470,6 +474,7 @@ class TestGramAim:
     def test_search_matches_eigh_aim(self, monkeypatch, max_den):
         # each hit depends only on its pair and max_den, so max_mn = 30 also
         # covers every smaller max_mn
+        pytest.importorskip("numpy")
         hits = search(30, max_den, 10**6)
         monkeypatch.setattr(
             search_module, "optimal_state_numeric", lambda vs: eigh_of_cycle_operator(vs)[:2]
@@ -514,6 +519,7 @@ class TestRationalizeState:
         assert got.v == Vec3Q(Fraction(3, 5), Fraction(4, 5), 0)
 
     def test_output_always_exactly_unit(self):
+        np = pytest.importorskip("numpy")
         rng = random.Random(777)
         for _ in range(50):
             raw = np.array([rng.gauss(0, 1) for _ in range(3)])
