@@ -30,7 +30,6 @@ Agreement of the two routes is an end-to-end check; the first is primary.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -40,6 +39,7 @@ from .linalg3 import (
     E_Y,
     Vec3Q,
     _int_dot,
+    _Value,
     _vec,
     norm_sq,
 )
@@ -62,21 +62,22 @@ class CycleValidationError(ValueError):
         self.pair = pair
 
 
-@dataclass(frozen=True)
-class UnitVectorQ:
+class UnitVectorQ(_Value):
     """A rational unit vector, a direction or a qutrit state: norm_sq exactly
     1, enforced at construction on the ints of v (x^2 + y^2 + z^2 == d^2),
     which every exact check and the primary evaluation route compute on."""
 
+    __match_args__ = ("v",)
     v: Vec3Q
 
-    def __post_init__(self):
-        num, den = self.v._num, self.v._den
+    def __init__(self, v: Vec3Q):
+        num, den = v._num, v._den
         length_sq = _int_dot(num, num)
         if length_sq != den * den:
             raise ValueError(
                 f"not a unit vector: |v|^2 = {format_rational(Fraction(length_sq, den * den))}"
             )
+        object.__setattr__(self, "v", v)
 
 
 def _unit(num: tuple[int, int, int], den: int) -> UnitVectorQ:
@@ -169,8 +170,7 @@ def check_cycle_vectors(vectors: Sequence[UnitVectorQ]) -> None:
             )
 
 
-@dataclass(frozen=True)
-class CycleScenario:
+class CycleScenario(_Value):
     """A validated odd cycle of compatible directions plus a state.
 
     The unit norms are guaranteed by the field types; construction checks
@@ -179,11 +179,14 @@ class CycleScenario:
     trivial fixtures).
     """
 
+    __match_args__ = ("state", "vectors")
     state: UnitVectorQ
     vectors: tuple[UnitVectorQ, ...]
 
-    def __post_init__(self):
-        check_cycle_vectors(self.vectors)
+    def __init__(self, state: UnitVectorQ, vectors: tuple[UnitVectorQ, ...]):
+        check_cycle_vectors(vectors)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def n(self) -> int:

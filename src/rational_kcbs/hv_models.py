@@ -15,22 +15,25 @@ deterministic assignments is attained at a deterministic one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg3 import _Value
 
-@dataclass(frozen=True)
-class Assignment:
-    """A deterministic outcome assignment: one value in {-1, +1} per observable."""
 
+class Assignment(_Value):
+    """A deterministic outcome assignment: one value in {-1, +1} per
+    observable.  A bool is refused, though True == 1."""
+
+    __match_args__ = ("outcomes",)
     outcomes: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        if not self.outcomes:
+    def __init__(self, outcomes: tuple[int, ...]):
+        outcomes = tuple(outcomes)
+        if not outcomes:
             raise ValueError("assignment must not be empty")
-        if any(o not in (-1, 1) for o in self.outcomes):
-            raise ValueError(f"outcomes must be -1 or +1, got {self.outcomes}")
+        if any(o not in (-1, 1) or o is True for o in outcomes):  # True == 1
+            raise ValueError(f"outcomes must be -1 or +1, got {outcomes}")
+        object.__setattr__(self, "outcomes", outcomes)
 
 
 def classical_min_cycle(n: int) -> tuple[int, Assignment]:

@@ -19,14 +19,20 @@ exact anymore.  Strings are rejected too: fraction text is parsed once, at
 the wire format (``rationals``), so no other package module is imported here.
 
 The cross product is right-handed: ``cross(E_X, E_Y) == E_Z``.
+
+``_Value`` is the frozen value behaviour that ``Vec3Q`` and the package's
+other value types share: equality, hash and repr over their fields, and no
+assignment after construction.  It is a plain base class, not
+``dataclasses``, whose import and generated methods would cost every
+process start.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 RationalLike = Fraction | int
 
@@ -51,8 +57,53 @@ def _fill(m: Vec3Q, num: tuple[int, int, int], den: int) -> Vec3Q:
     return m
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Vec3Q:
+class _Value:
+    """An immutable value, equal to a value of the same class with equal
+    fields and hashed and shown by them, as a frozen dataclass is.
+
+    ``__match_args__`` names the fields in order.  A subclass's constructor
+    writes each field with ``object.__setattr__``: assigning or deleting any
+    attribute afterwards raises ``dataclasses.FrozenInstanceError``, whose
+    module is imported on that error path alone.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # _fields() reads the field tuple in one attrgetter call, not a loop
+        # over the names, since search sorts on params; attrgetter of one
+        # name returns the value alone, so that one is wrapped
+        get = attrgetter(*cls.__match_args__)
+        if len(cls.__match_args__) == 1:
+            cls._fields = lambda self: (get(self),)
+        else:
+            cls._fields = lambda self: get(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Vec3Q(_Value):
     """Immutable 3-vector with exact rational components.
 
     Held as three ints over one positive denominator in lowest terms, so
@@ -60,10 +111,8 @@ class Vec3Q:
     are the Fraction view.
     """
 
-    # Slots declared here, not by ``dataclass(slots=True)``: that rebuilds
-    # the class, and the frozen ``__setattr__`` then raises TypeError, not
-    # FrozenInstanceError, for a name that is not a field (Python 3.11).
     __slots__ = ("_num", "_den")
+    __match_args__ = ("_num", "_den")
     _num: tuple[int, int, int]
     _den: int
 

@@ -60,8 +60,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 from .contextuality import (
     CycleScenario,
@@ -71,7 +71,7 @@ from .contextuality import (
     kcbs_value,
 )
 from .hv_models import is_violation
-from .linalg3 import E_X, E_Y
+from .linalg3 import E_X, E_Y, _Value
 
 EIGEN_RESIDUAL_TOL = 1e-12
 # Largest max_mn of a search: of the about 2e6 pairs of distinct parameters
@@ -80,25 +80,32 @@ EIGEN_RESIDUAL_TOL = 1e-12
 MAX_MN = 100
 
 
-@dataclass(frozen=True, order=True)
-class CircleParams:
+@total_ordering
+class CircleParams(_Value):
     """Parameters of a primitive Pythagorean triple: m > n >= 1, coprime,
-    opposite parity."""
+    opposite parity.  Ordered as the tuple (m, n).  A bool is refused, though
+    isinstance(True, int) holds."""
 
+    __match_args__ = ("m", "n")
     m: int
     n: int
 
-    def __post_init__(self):
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
+    def __init__(self, m: int, n: int):
+        if not (isinstance(m, int) and isinstance(n, int)) or bool in (m.__class__, n.__class__):
             raise TypeError("circle parameters must be integers")
-        if not self.m > self.n >= 1:
-            raise ValueError(f"need m > n >= 1, got m={self.m}, n={self.n}")
-        if math.gcd(self.m, self.n) != 1:
-            raise ValueError(f"need gcd(m, n) = 1, got m={self.m}, n={self.n}")
-        if (self.m - self.n) % 2 == 0:
-            raise ValueError(
-                f"need m - n odd (primitive triple), got m={self.m}, n={self.n}"
-            )
+        if not m > n >= 1:
+            raise ValueError(f"need m > n >= 1, got m={m}, n={n}")
+        if math.gcd(m, n) != 1:
+            raise ValueError(f"need gcd(m, n) = 1, got m={m}, n={n}")
+        if (m - n) % 2 == 0:
+            raise ValueError(f"need m - n odd (primitive triple), got m={m}, n={n}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.n) < (other.m, other.n)
+        return NotImplemented
 
 
 def _triple(m: int, n: int) -> tuple[int, int, int]:
@@ -409,18 +416,28 @@ def _mirrored(scenario: CycleScenario) -> CycleScenario:
     )
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(_Value):
     """A rational configuration whose exact cycle sum violates the bound."""
 
+    __match_args__ = ("scenario", "value", "params", "state_denominator_bound")
     scenario: CycleScenario
     value: Fraction
     params: tuple[CircleParams, CircleParams]
     state_denominator_bound: int
 
-    def __post_init__(self):
-        if not is_violation(self.value, self.scenario.n):
-            raise ValueError(f"value {self.value} is not a violation")
+    def __init__(
+        self,
+        scenario: CycleScenario,
+        value: Fraction,
+        params: tuple[CircleParams, CircleParams],
+        state_denominator_bound: int,
+    ):
+        if not is_violation(value, scenario.n):
+            raise ValueError(f"value {value} is not a violation")
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "state_denominator_bound", state_denominator_bound)
 
 
 def search(max_mn: int, max_den: int, top_k: int) -> list[SearchHit]:

@@ -1,10 +1,14 @@
 """Shared fixture data: the bundled reference configuration spelled out as
 integer literals, so tests cross-check the packaged constants instead of
 echoing them, seeded generators of rationals, wire-format fraction texts,
-rotations and odd cycles, and the interpreter's own digit-limit message."""
+rotations and odd cycles, the interpreter's own digit-limit message, and
+the value semantics every frozen value type shares."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -36,6 +40,20 @@ def int_limit_message(digits: str) -> str:
     with pytest.raises(ValueError) as refused:
         int(digits)
     return str(refused.value)
+
+
+def assert_frozen_value(value, names) -> None:
+    """value survives copy, deepcopy and a pickle round trip equal, with the
+    same type, hash and repr, and refuses to assign or delete each name with
+    ``dataclasses.FrozenInstanceError``."""
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
 
 
 @pytest.fixture

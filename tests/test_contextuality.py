@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +34,14 @@ from rational_kcbs.linalg3 import (
 )
 from rational_kcbs.rationals import parse_rational
 from rational_kcbs.search import stereo_lift
-from tests.conftest import REF_KCBS_VALUE, REF_STATE_RAW, REF_VECTORS_RAW, odd_cycle, rand_fraction
+from tests.conftest import (
+    REF_KCBS_VALUE,
+    REF_STATE_RAW,
+    REF_VECTORS_RAW,
+    assert_frozen_value,
+    odd_cycle,
+    rand_fraction,
+)
 from tests.oracles import (
     cycle_operator,
     mat_from_rows,
@@ -83,7 +92,7 @@ def test_unit_vector_value_semantics():
     # comparison, hash or repr
     u = UnitVectorQ(Vec3Q(Fraction(3, 5), Fraction(4, 5), 0))
     same = UnitVectorQ(Vec3Q(Fraction(6, 10), Fraction(8, 10), Fraction(0, 7)))
-    assert [f.name for f in dataclasses.fields(u)] == ["v"]
+    assert UnitVectorQ.__match_args__ == ("v",) and vars(u) == {"v": u.v}
     assert u == same and hash(u) == hash(same) == hash((u.v,))
     assert u != UnitVectorQ(Vec3Q(Fraction(4, 5), Fraction(3, 5), 0))
     assert repr(u) == "UnitVectorQ(v=Vec3Q(x=Fraction(3, 5), y=Fraction(4, 5), z=Fraction(0, 1)))"
@@ -312,6 +321,28 @@ def test_direct_scenario_construction_checks_geometry():
             state=UnitVectorQ(E_X),
             vectors=(UnitVectorQ(E_X), UnitVectorQ(E_Y), UnitVectorQ(E_X)),
         )
+
+
+def test_scenario_value_semantics():
+    # equality and hash over (state, vectors), the exact repr, keyword
+    # construction, and copies that carry the cached observables along
+    axes = tuple(UnitVectorQ(e) for e in (E_X, E_Y, E_Z))
+    s = CycleScenario(axes[0], axes)
+    same = CycleScenario(state=UnitVectorQ(Vec3Q(1, 0, 0)), vectors=tuple(axes))
+    assert CycleScenario.__match_args__ == ("state", "vectors")
+    assert s == same and hash(s) == hash(same) == hash((axes[0], axes))
+    assert s != CycleScenario(axes[1], axes) and s != (axes[0], axes)
+    unit = "UnitVectorQ(v=Vec3Q(x=Fraction({}, 1), y=Fraction({}, 1), z=Fraction({}, 1)))"
+    x, y, z = unit.format(1, 0, 0), unit.format(0, 1, 0), unit.format(0, 0, 1)
+    assert repr(s) == f"CycleScenario(state={x}, vectors=({x}, {y}, {z}))"
+    ref = reference_scenario()
+    assert_frozen_value(ref, ("state", "vectors", "n", "observables", "other"))
+    assert "observables" not in vars(ref)
+    assert ref.observables and kcbs_value(ref) == REF_KCBS_VALUE
+    for twin in (copy.copy(ref), copy.deepcopy(ref), pickle.loads(pickle.dumps(ref))):
+        assert vars(twin).keys() == vars(ref).keys() >= {"state", "vectors", "observables", "_images"}
+        assert twin == ref and twin.observables == ref.observables
+        assert kcbs_value(twin) == REF_KCBS_VALUE
 
 
 # ---------------------------------------------------------------- correlators

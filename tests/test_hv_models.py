@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from rational_kcbs.hv_models import (
     classical_min_cycle,
     is_violation,
 )
+from tests.conftest import assert_frozen_value
 
 
 def cycle_sum(o):
@@ -35,10 +37,20 @@ class TestAssignment:
     def test_accepts_any_iterable(self):
         assert Assignment([1, 1, 1]).outcomes == (1, 1, 1)
 
-    @pytest.mark.parametrize("outcomes", [(), (0,), (1, 2, 1), (-1, 1, 0)])
+    # True == 1, so only its type tells it apart
+    @pytest.mark.parametrize("outcomes", [(), (0,), (1, 2, 1), (-1, 1, 0), (True, -1, True), (-1, 1, True)])
     def test_invalid(self, outcomes):
-        with pytest.raises(ValueError):
+        text = f"outcomes must be -1 or +1, got {outcomes}" if outcomes else "assignment must not be empty"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
             Assignment(outcomes)
+
+    def test_value_semantics(self):
+        a = Assignment(outcomes=[-1, 1, -1])
+        assert Assignment.__match_args__ == ("outcomes",)
+        assert a == Assignment((-1, 1, -1)) and hash(a) == hash(((-1, 1, -1),))
+        assert a != Assignment((1, -1, 1)) and a != (-1, 1, -1)
+        assert repr(a) == "Assignment(outcomes=(-1, 1, -1))"
+        assert_frozen_value(a, ("outcomes", "other"))
 
 
 class TestClassicalMin:

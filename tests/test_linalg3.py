@@ -201,11 +201,12 @@ def test_matrix_constructors():
 
 
 def test_matrix_is_built_only_from_ints():
-    # a matrix has no type: an observable is its nine row-major ints over d^2
+    # a matrix has no type: an observable is its nine row-major ints over d^2.
+    # linalg3's classes are the vector and the value base the value types share
     assert not hasattr(linalg3, "Mat3Q") and not hasattr(linalg3, "_mat")
     classes = [name for name, obj in vars(linalg3).items()
                if isinstance(obj, type) and obj.__module__ == linalg3.__name__]
-    assert classes == ["Vec3Q"]
+    assert classes == ["_Value", "Vec3Q"]
     num, den = make_observable(UnitVectorQ(Vec3Q(Fraction(48, 73), 0, Fraction(-55, 73))))
     assert type(num) is tuple and len(num) == 9 and all(type(e) is int for e in num)
     assert type(den) is int and den == 73 * 73

@@ -41,10 +41,15 @@ def test_exports_are_exactly_the_public_surface():
 
 def test_cli_imports_no_typing():
     # annotations are strings and abstract types come from collections.abc,
-    # so the command line never pays for importing typing; -S keeps site
-    # hooks from importing it first
+    # so the command line never pays for importing typing; the value types
+    # are plain classes that import dataclasses only to raise its
+    # FrozenInstanceError, so it never pays for dataclasses and inspect
+    # either.  -S keeps site hooks from importing them first
     src = Path(rational_kcbs.__file__).resolve().parents[1]
-    code = "import sys, rational_kcbs.cli; sys.exit('typing' in sys.modules)"
+    code = (
+        "import sys, rational_kcbs.cli; "
+        "sys.exit(sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)) or None)"
+    )
     env = {**os.environ, "PYTHONPATH": str(src)}
     assert subprocess.run([sys.executable, "-S", "-c", code], env=env).returncode == 0
 

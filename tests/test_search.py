@@ -2,6 +2,7 @@ import importlib
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -40,6 +41,7 @@ from tests.conftest import (
     REF_KCBS_VALUE,
     REF_STATE_RAW,
     REF_VECTORS_RAW,
+    assert_frozen_value,
     odd_cycle,
     rand_fraction,
     rotation,
@@ -92,8 +94,31 @@ class TestCircleParams:
             CircleParams(m, n)
 
     def test_non_integer(self):
-        with pytest.raises(TypeError):
-            CircleParams(2.0, 1)
+        # a bool too, though isinstance(True, int) holds
+        for m, n in ((2.0, 1), (2, 1.0), (Fraction(2), 1), (2, True), (True, 0)):
+            with pytest.raises(TypeError, match="^circle parameters must be integers$"):
+                CircleParams(m, n)
+
+    def test_value_semantics(self):
+        p = CircleParams(8, 3)
+        assert CircleParams.__match_args__ == ("m", "n")
+        assert p == CircleParams(m=8, n=3) == CircleParams(8, n=3) and hash(p) == hash((8, 3))
+        assert p != CircleParams(8, 5) and p != (8, 3)
+        assert repr(p) == "CircleParams(m=8, n=3)"
+        assert_frozen_value(p, ("m", "n", "other"))
+
+    def test_ordering(self):
+        # params order as their (m, n) tuples, and only among themselves
+        params = [CircleParams(14, 5), CircleParams(8, 5), CircleParams(4, 1), CircleParams(8, 3),
+                  CircleParams(3, 2)]
+        assert sorted(params) == sorted(params, key=lambda p: (p.m, p.n)) != sorted(params, key=lambda p: p.n)
+        p, q = CircleParams(8, 3), CircleParams(8, 5)
+        assert p < q and p <= q and q > p and q >= p and p <= p and p >= p
+        assert not (p < p or p > p or q < p or q <= p or p > q or p >= q)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            for a, b, text in ((p, 8, "'CircleParams' and 'int'"), (8, p, "'int' and 'CircleParams'")):
+                with pytest.raises(TypeError, match=f"not supported between instances of {text}$"):
+                    op(a, b)
 
 
 class TestCircleTriple:
@@ -914,6 +939,23 @@ class TestClosurePrefilter:
             hits = search(max_mn=24, max_den=max_den, top_k=1000)
             assert 0 < len(expected) < 1000
             assert [(h.value, h.params, h.scenario) for h in hits] == expected, max_den
+
+
+def test_search_hit_value_semantics(default_hits):
+    hit, other = default_hits[:2]
+    fields = (hit.scenario, hit.value, hit.params, hit.state_denominator_bound)
+    same = SearchHit(
+        scenario=hit.scenario, value=hit.value, params=hit.params, state_denominator_bound=600
+    )
+    assert SearchHit.__match_args__ == ("scenario", "value", "params", "state_denominator_bound")
+    assert hit == same and hash(hit) == hash(same) == hash(fields)
+    assert hit != other and hit != fields
+    assert repr(hit) == (
+        f"SearchHit(scenario={hit.scenario!r}, value={hit.value!r}, "
+        f"params={hit.params!r}, state_denominator_bound=600)"
+    )
+    assert repr(hit.params) == "(CircleParams(m=8, n=3), CircleParams(m=14, n=5))"
+    assert_frozen_value(hit, ("scenario", "value", "params", "state_denominator_bound", "other"))
 
 
 def test_search_hit_requires_violation():
