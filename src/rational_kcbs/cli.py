@@ -15,10 +15,9 @@ Config file schema (UTF-8 JSON, read with text mode's universal newlines)::
     {"state": ["354/527", "357/527", "-158/527"],
      "vectors": [["1", "0", "0"], ...]}
 
-Each triple of fraction strings is matched as one text by
-``rationals._triple_ratios`` and read straight into a ``Vec3Q``'s ints over
-the lcm of its denominators; reading and validating a config builds no
-Fraction.
+Each triple of fraction strings is read component by component by
+``rationals._triple_ratios`` and straight into a ``Vec3Q``'s ints over the
+lcm of its denominators; reading and validating a config builds no Fraction.
 """
 
 from __future__ import annotations
@@ -80,16 +79,22 @@ def _object_once(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return data
 
 
+# one decoder for the process: json.loads with a hook builds one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_object_once)
+
+
 def load_config(path: str) -> tuple[Vec3Q, list[Vec3Q]]:
     """Read and parse a config file; raises OSError, UnicodeDecodeError,
     json.JSONDecodeError, or ConfigError.  Validation of the parsed scenario
     happens separately."""
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         text = fh.read().decode("utf-8")
-    # the universal newlines of text mode, so json.loads sees the same str
+    # the universal newlines of text mode, so the decoder sees the same str
     text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if text.startswith("\ufeff"):  # json.loads' own check, which decode() skips
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        data = json.loads(text, object_pairs_hook=_object_once)
+        data = _DECODER.decode(text)
     except (json.JSONDecodeError, ConfigError):
         raise
     except RecursionError:

@@ -184,6 +184,7 @@ class CycleScenario(_Value):
     vectors: tuple[UnitVectorQ, ...]
 
     def __init__(self, state: UnitVectorQ, vectors: tuple[UnitVectorQ, ...]):
+        vectors = tuple(vectors)
         check_cycle_vectors(vectors)
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "vectors", vectors)

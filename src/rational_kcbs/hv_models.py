@@ -46,10 +46,10 @@ def classical_min_cycle(n: int) -> tuple[int, Assignment]:
     the witness is then read front to back, taking -1 whenever it still
     reaches that minimum.
 
-    Raises TypeError for a non-int n, ValueError for even n or n < 3, and
-    ArithmeticError should the pass miss the closed form -(n - 2).
+    Raises TypeError for a non-int or bool n, ValueError for even n or
+    n < 3, and ArithmeticError should the pass miss the closed form -(n - 2).
     """
-    if not isinstance(n, int):
+    if not isinstance(n, int) or n.__class__ is bool:
         raise TypeError(f"cycle length must be an int, got {n!r}")
     if n % 2 == 0 or n < 3:
         raise ValueError(f"cycle length must be odd and >= 3, got {n}")

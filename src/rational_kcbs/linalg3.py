@@ -38,10 +38,11 @@ RationalLike = Fraction | int
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int or Fraction to Fraction; reject anything else."""
+    """Coerce an int or Fraction to Fraction; reject anything else.  A bool
+    is refused, though isinstance(True, int) holds."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and value.__class__ is not bool:
         return Fraction(value)
     raise TypeError(f"exact rational required, got {type(value).__name__}: {value!r}")
 

@@ -10,8 +10,8 @@ native ``+ - * /`` operators; division by zero raises ``ZeroDivisionError``.
 What this module adds is the strict text format used in every JSON file this
 package reads or writes, and exact decimal rendering that never touches
 floating point.  Only this module reads the fraction token's groups
-(``_FRACTION``): ``_ratio`` from one text, ``_triple_ratios`` from a config's
-triple by one match.
+(``_FRACTION_RE``): ``_ratio`` from one text, and ``_triple_ratios`` from a
+config's triple by one ``_ratio`` call per component.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from fractions import Fraction
 # Wire format: optional sign, digits, optionally "/" digits, with the
 # numerator and denominator as groups.  No whitespace, no decimal points, no
 # exponent forms.
-_FRACTION = r"([+-]?[0-9]+)(?:/([0-9]+))?"
-_FRACTION_RE = re.compile(_FRACTION)
-# Three fraction texts joined by single spaces, each with its numerator and
-# denominator as groups.  No text the wire format accepts holds a space, so a
-# triple matches exactly when each of its components does.
-_TRIPLE_RE = re.compile(" ".join([_FRACTION] * 3))
+_FRACTION_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _ratio(text: str) -> tuple[int, int]:
@@ -51,18 +46,8 @@ def _ratio(text: str) -> tuple[int, int]:
 
 
 def _triple_ratios(c0: str, c1: str, c2: str) -> tuple[tuple[int, int], ...]:
-    """The (p, q) ints of three fraction texts as written, read by one match;
-    where it gives none, ``_ratio`` on each text in order raises for the
-    first one it refuses."""
-    match = _TRIPLE_RE.fullmatch(f"{c0} {c1} {c2}")
-    if match:
-        try:  # "1" for an absent denominator
-            p0, q0, p1, q1, p2, q2 = map(int, match.groups("1"))
-        except ValueError:  # a part beyond the int-from-string digit limit
-            pass
-        else:
-            if q0 and q1 and q2:
-                return (p0, q0), (p1, q1), (p2, q2)
+    """The (p, q) ints of three fraction texts as written; ``_ratio`` reads
+    them in order and raises for the first one it refuses."""
     return _ratio(c0), _ratio(c1), _ratio(c2)
 
 

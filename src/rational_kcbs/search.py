@@ -436,7 +436,7 @@ class SearchHit(_Value):
             raise ValueError(f"value {value} is not a violation")
         object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", tuple(params))
         object.__setattr__(self, "state_denominator_bound", state_denominator_bound)
 
 

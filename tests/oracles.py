@@ -15,9 +15,8 @@ is the plain all-pairs closure scan, without the class rule of
 ``search.optimal_state_numeric`` in loop form on lists of row lists, which
 the program's written-out rotations on float locals must reproduce bit for
 bit.  ``parse_triple_by_components`` reads a config triple with one
-``rationals._ratio`` call per component, the route that
-``rationals._triple_ratios``' one-pattern match, read through
-``cli._parse_triple``, must agree with."""
+``rationals._ratio`` call per component, which the program's reading of a
+config triple through ``cli._parse_triple`` must agree with."""
 
 from __future__ import annotations
 

@@ -596,6 +596,48 @@ def test_parse_triple_matches_the_per_component_route():
     assert 1000 < len(refused) < len(outcomes) - 300
 
 
+def test_a_triple_is_read_by_one_ratio_call_per_component(monkeypatch):
+    # in component order; a triple refused at component k stops there, with
+    # that component's error, though every later component is refused too
+    ratio = rationals._ratio
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return ratio(text)
+
+    monkeypatch.setattr(rationals, "_ratio", counting)
+    valid = ["354/527", "-357", "+0/5"]
+    assert rationals._triple_ratios(*valid) == ((354, 527), (-357, 1), (0, 5))
+    assert calls == valid
+    for bad in ("1.5", "3/0", "1" * 5000):
+        with pytest.raises((ValueError, ZeroDivisionError)) as expected:
+            ratio(bad)
+        for k in range(3):
+            triple = valid[:k] + [bad] + ["x"] * (2 - k)
+            calls.clear()
+            with pytest.raises(expected.type) as refused:
+                rationals._triple_ratios(*triple)
+            assert str(refused.value) == str(expected.value)
+            assert calls == triple[: k + 1]
+
+
+def test_load_config_builds_no_json_decoder(tmp_path, monkeypatch):
+    built = []
+
+    class Counting(json.JSONDecoder):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(json, "JSONDecoder", Counting)
+    paths = [write_config(tmp_path, REF_CONFIG, "ref.json"), write_config(tmp_path, DEGENERATE_CONFIG)]
+    for path in paths * 3:
+        cli.load_config(path)
+    assert built == []
+    assert json.loads("{}", object_pairs_hook=dict) == {} and len(built) == 1  # the patch is seen
+
+
 def test_reading_and_validating_a_config_builds_no_fraction(tmp_path, monkeypatch):
     rng = random.Random(23)
     configs = [REF_CONFIG, DEGENERATE_CONFIG]
@@ -1078,6 +1120,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "rational_kcbs", "reference"],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         check=False,
     )
     assert result.returncode == 0

@@ -323,6 +323,15 @@ def test_direct_scenario_construction_checks_geometry():
         )
 
 
+def test_scenario_stores_its_vectors_as_a_tuple():
+    # a list of the reference's vectors gives a scenario equal to the
+    # reference, with the same hash; a tuple is stored as it is
+    ref = reference_scenario()
+    s = CycleScenario(ref.state, list(ref.vectors))
+    assert type(s.vectors) is tuple and s == ref and hash(s) == hash(ref)
+    assert CycleScenario(ref.state, ref.vectors).vectors is ref.vectors
+
+
 def test_scenario_value_semantics():
     # equality and hash over (state, vectors), the exact repr, keyword
     # construction, and copies that carry the cached observables along

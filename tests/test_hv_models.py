@@ -102,7 +102,9 @@ class TestClassicalMin:
         with pytest.raises(ValueError):
             classical_min_cycle(n)
 
-    @pytest.mark.parametrize("n,error", [(4, ValueError), (5.0, TypeError)])
+    @pytest.mark.parametrize(
+        "n,error", [(4, ValueError), (5.0, TypeError), (True, TypeError), (False, TypeError)]
+    )
     def test_invalid_n_raises_on_every_call(self, n, error):
         for _ in range(2):
             with pytest.raises(error):

@@ -90,7 +90,7 @@ def test_vector_components_are_lowest_terms_fractions():
 @pytest.mark.parametrize(
     "bad, text",
     [(0.5, "float: 0.5"), ("3/5", "str: '3/5'"), (None, "NoneType: None"),
-     (complex(1, 0), "complex: (1+0j)")],
+     (complex(1, 0), "complex: (1+0j)"), (True, "bool: True"), (False, "bool: False")],
 )
 def test_vector_rejects_inexact_components(bad, text):
     for args in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):

@@ -88,10 +88,10 @@ def test_each_integer_format_has_one_owning_module():
     tops = {module.stem: _top_level(module) for module in sorted(package.glob("*.py"))}
     owners = {
         "_int_mat_mul": {"contextuality"}, "_int_mat_vec": {"contextuality"},
-        "_FRACTION": {"rationals"}, "_ratio": {"rationals"},
-        "_TRIPLE_RE": {"rationals"}, "_triple_ratios": {"rationals"},
+        "_FRACTION_RE": {"rationals"}, "_ratio": {"rationals"},
+        "_triple_ratios": {"rationals"},
     }
     for name, owner in owners.items():
         assert {stem for stem, (defined, _) in tops.items() if name in defined} == owner, name
     _, cli_imports = tops["cli"]
-    assert cli_imports.isdisjoint({"_int_mat_mul", "_FRACTION", "_ratio", "_TRIPLE_RE"}), cli_imports
+    assert cli_imports.isdisjoint({"_int_mat_mul", "_FRACTION_RE", "_ratio"}), cli_imports

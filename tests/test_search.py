@@ -521,8 +521,8 @@ class TestGramAim:
         )
         src = Path(search_module.__file__).resolve().parent.parent
         result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=False,
-            cwd=src, env={**os.environ, "PYTHONPATH": str(src)},
+            [sys.executable, "-c", script], capture_output=True, text=True, encoding="utf-8",
+            check=False, cwd=src, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert result.returncode == 0, result.stderr
         assert "Traceback" not in result.stderr
@@ -956,6 +956,12 @@ def test_search_hit_value_semantics(default_hits):
     )
     assert repr(hit.params) == "(CircleParams(m=8, n=3), CircleParams(m=14, n=5))"
     assert_frozen_value(hit, ("scenario", "value", "params", "state_denominator_bound", "other"))
+
+
+def test_search_hit_stores_its_params_as_a_tuple(default_hits):
+    hit = default_hits[0]
+    twin = SearchHit(hit.scenario, hit.value, list(hit.params), hit.state_denominator_bound)
+    assert type(twin.params) is tuple and twin == hit and hash(twin) == hash(hit)
 
 
 def test_search_hit_requires_violation():
