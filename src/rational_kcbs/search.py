@@ -21,6 +21,14 @@ The construction works entirely on rational points of the unit sphere:
   only when the powers of 2 in their even legs differ by at least 2 and
   the legs do not hold the same nonzero power of 3: about 28% of all pairs
   at ``MAX_MN``.
+* Which pairs close depends on max_mn alone, so the scan's output, the
+  closing (m, n) pairs in scan order, is kept per process in a table
+  (``_closing_params``) with one entry per max_mn requested, at most
+  ``MAX_MN``; it is filled on the first request for a max_mn, never at
+  import.  Only that is kept.  Every request still builds each closing
+  pentagon with its checks, aims it, snaps the state at its own max_den,
+  builds and evaluates the scenario exactly and re-checks each returned
+  mirror, so every hit is a freshly checked certificate.
 * The family always puts a triple's even leg 2mn on the x (or y) axis.
   The three other orders of the two legs give other pentagons, which close
   more pairs; they are not searched.
@@ -61,7 +69,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
 
 from .contextuality import (
     CycleScenario,
@@ -440,28 +448,41 @@ class SearchHit(_Value):
         object.__setattr__(self, "state_denominator_bound", state_denominator_bound)
 
 
+@cache
+def _closing_params(max_mn: int) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """The (m, n) ints of every closing pair p1 < p2 with m <= max_mn, in the
+    order ``_closing_pairs`` yields them.  The scan depends on max_mn alone,
+    so each process runs it once per max_mn that ``search`` has accepted."""
+    ints = _param_ints(max_mn)
+    return tuple((ints[i], ints[j]) for i, j, _, _ in _closing_pairs([_triple(m, n) for m, n in ints]))
+
+
 def search(max_mn: int, max_den: int, top_k: int) -> list[SearchHit]:
     """Enumerate pentagon parametrization pairs with m <= max_mn, keep the
     rationally-closable ones, rationalize each pentagon's optimal state with
     plane denominators <= max_den, and return up to top_k exact violations,
     most negative first (ties in params order).  An empty list is a valid
-    result.  Raises ValueError for a non-positive bound or max_mn > MAX_MN.
+    result.  Raises TypeError for a bound that is not an int (a bool
+    included) and ValueError for a non-positive bound or max_mn > MAX_MN.
 
-    The scan runs on plain (m, n) ints; each closing pair p1 < p2 that
-    ``_closing_pairs`` yields gets its two CircleParams, and is built and
-    evaluated once.  The violations are sorted by (value, params) first, and
-    only the top_k returned become SearchHits: a returned hit (p2, p1) is
-    then derived from its pair's scenario, with its unit and adjacency
+    The scan runs on plain (m, n) ints, once per process for each max_mn
+    (``_closing_params``); each closing pair p1 < p2 gets its two
+    CircleParams on every request, and is built, checked, aimed, snapped
+    and evaluated once.  The violations are sorted by (value, params) first,
+    and only the top_k returned become SearchHits: a returned hit (p2, p1)
+    is then derived from its pair's scenario, with its unit and adjacency
     checks.  No pair (p, p) is tested: its two even legs share their power
     of 2, so it never closes."""
+    for bound in (max_mn, max_den, top_k):
+        if not isinstance(bound, int) or bound.__class__ is bool:
+            raise TypeError(f"search bounds must be integers, got {bound!r}")
     if max_mn < 1 or max_den < 1 or top_k < 1:
         raise ValueError("search bounds must be positive")
     if max_mn > MAX_MN:
         raise ValueError(f"max_mn is limited to {MAX_MN}, got {max_mn}")
-    ints = _param_ints(max_mn)
     found = []  # (value, params, scenario, whether the hit is the mirror)
-    for i, j, _, _ in _closing_pairs([_triple(m, n) for m, n in ints]):
-        p1, p2 = CircleParams(*ints[i]), CircleParams(*ints[j])
+    for mn1, mn2 in _closing_params(max_mn):
+        p1, p2 = CircleParams(*mn1), CircleParams(*mn2)
         pentagon = build_pentagon(p1, p2)
         vec, _lam = optimal_state_numeric(pentagon)
         scenario = CycleScenario(rationalize_state(vec, max_den), tuple(pentagon))

@@ -28,6 +28,7 @@ from rational_kcbs.search import (
     CircleParams,
     SearchHit,
     _closing_pairs,
+    _closing_params,
     best_rational_approx,
     build_pentagon,
     circle_triple,
@@ -636,11 +637,13 @@ class TestSearch:
     def test_hits_built_only_for_the_returned_top_k(self, monkeypatch):
         # the scan runs on ints: two CircleParams per closing pair, shared by
         # its pentagon and its two hits, and a mirror scenario only for each
-        # returned mirror hit (p2, p1) with p2 > p1
+        # returned mirror hit (p2, p1) with p2 > p1.  The first request finds
+        # the table of closing pairs cold, the others warm.
         closing = len(list(_closing_pairs([circle_triple(p) for p in primitive_params(24)])))
         calls = dict.fromkeys(("CircleParams", "_mirrored"), 0)
         for name in calls:
             monkeypatch.setattr(search_module, name, counted(calls, name, getattr(search_module, name)))
+        _closing_params.cache_clear()
         mirrors = []
         for top_k in (1, 2, 5, 1000):
             calls.update(dict.fromkeys(calls, 0))
@@ -648,6 +651,7 @@ class TestSearch:
             mirrors.append(sum(h.params[0] > h.params[1] for h in hits))
             assert calls == {"CircleParams": 2 * closing, "_mirrored": mirrors[-1]}, top_k
         assert mirrors[-1] == closing > mirrors[1]
+        assert _closing_params.cache_info()[:2] == (3, 1)  # hits, misses
 
     @pytest.mark.parametrize("max_den", [10, 600, 10**6])
     def test_hits_come_in_mirror_pairs(self, max_den):
@@ -681,6 +685,39 @@ class TestSearch:
         # refused before the scan of the O(max_mn^4) unordered pairs starts
         with pytest.raises(ValueError, match="max_mn"):
             search(MAX_MN + 1, 10, 1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(24, 10**6, True), (True, 10**6, 5), (14, True, 5), (True, 0, 0), (0, 0, False),
+         (14.0, 600, 5), (14, 600.0, 5), (14, 600, 5.0), (Fraction(14), 600, 5)],
+    )
+    def test_rejects_a_bound_that_is_not_an_int(self, args):
+        # a bool is an int to isinstance, as for CircleParams, and a bool,
+        # float or Fraction hashes as the int it equals.  Each is refused
+        # before the bounds check and before the table of closing pairs is
+        # read, even where the table already holds the equal int's entry.
+        search(1, 600, 1)
+        search(14, 600, 1)
+        table = _closing_params.cache_info()
+        with pytest.raises(TypeError, match="search bounds must be integers"):
+            search(*args)
+        assert _closing_params.cache_info() == table
+
+    @pytest.mark.parametrize("max_den", [10, 600, 10**6])
+    @pytest.mark.parametrize("max_mn", [14, 24, 30])
+    def test_hits_do_not_depend_on_the_table_state(self, max_mn, max_den):
+        # the table keeps the scan's closing pairs only, so a request gives
+        # the same hits (params, exact states, values, order) with the
+        # table cold, warm, after a larger request and after a smaller one
+        _closing_params.cache_clear()
+        cold = search(max_mn, max_den, 1000)
+        assert cold
+        assert search(max_mn, max_den, 1000) == cold
+        search(2 * max_mn, max_den, 1)
+        assert search(max_mn, max_den, 1000) == cold
+        search(max_mn // 2, max_den, 1)
+        assert search(max_mn, max_den, 1000) == cold
+        assert _closing_params.cache_info()[:2] == (3, 3)  # hits, misses
 
 
 # search(max_mn, max_den, top_k) for each recorded max_den, recorded once from
@@ -867,18 +904,45 @@ class TestClosurePrefilter:
         assert len(expected) == closing
         assert list(_closing_pairs(triples)) == expected
 
+    def test_closing_params_match_plain_scan(self):
+        # the table search reads holds the (m, n) pairs of the plain scan, in
+        # its order, whether each entry is computed (cold) or served (warm)
+        expected = {}
+        for max_mn in range(1, 41):
+            params = primitive_params(max_mn)
+            found = closing_pairs_scan([circle_triple(p) for p in params])
+            expected[max_mn] = tuple(((params[i].m, params[i].n), (params[j].m, params[j].n)) for i, j, _, _ in found)
+        _closing_params.cache_clear()
+        for table in ("cold", "warm"):
+            for max_mn, pairs in expected.items():
+                assert _closing_params(max_mn) == pairs, (table, max_mn)
+        assert _closing_params.cache_info()[:2] == (40, 40)  # hits, misses
+        # 19 unordered pairs: the 38 ordered ones of test_closure_is_symmetric
+        assert type(_closing_params(40)) is tuple and len(_closing_params(40)) == 19
+
+    def test_table_is_kept_per_max_mn(self):
+        # max_mn 13 holds no closing pair and 24 holds seven: a table that
+        # served one request's pairs to another fails one of these
+        assert len(search(24, 10**6, 1000)) == 14
+        assert search(13, 10**6, 1000) == []
+        assert len(search(24, 10**6, 1000)) == 14
+
     def test_search_builds_only_closable_pairs(self, monkeypatch):
         # each unordered closing pair is built, aimed and evaluated once;
-        # its mirror hit is derived, not built
+        # its mirror hit is derived, not built.  The same holds with the
+        # table of closing pairs cold and warm.
         ordered = len(closable_pairs(24))
         names = ("build_pentagon", "optimal_state_numeric", "kcbs_value")
         calls = dict.fromkeys(names, 0)
         for name in names:
             monkeypatch.setattr(search_module, name, counted(calls, name, getattr(search_module, name)))
-        hits = search(max_mn=24, max_den=600, top_k=1000)
         assert ordered % 2 == 0 and 0 < ordered < len(primitive_params(24)) ** 2
-        assert calls == dict.fromkeys(names, ordered // 2)
-        assert len(hits) == ordered
+        _closing_params.cache_clear()
+        for table in ("cold", "warm"):
+            calls.update(dict.fromkeys(calls, 0))
+            hits = search(max_mn=24, max_den=600, top_k=1000)
+            assert calls == dict.fromkeys(names, ordered // 2), table
+            assert len(hits) == ordered
 
     def test_search_checks_each_closed_pentagon_once(self, monkeypatch):
         contextuality = importlib.import_module("rational_kcbs.contextuality")
@@ -903,17 +967,22 @@ class TestClosurePrefilter:
             return closed[-1]
 
         monkeypatch.setattr(search_module, "build_pentagon", recording)
-        hits = search(24, 10**6, 1000)
         # per unordered closing pair: its five directions and the lifted
         # state are each checked for unit norm once, and so are the mirror's;
         # the aim, the scenario and the mirror's scenario each check the
         # cycle's adjacency once.  Every closing pair violates here, so each
-        # build gives two hits.
-        assert closed and None not in closed
-        assert len(hits) == 2 * len(closed)
-        assert calls["norm"] == 6 * len(hits)
-        assert calls["check_cycle_vectors"] == 3 * len(closed)
-        assert calls["validate_cycle"] == 0
+        # build gives two hits.  A warm table of closing pairs skips none of
+        # these checks.
+        _closing_params.cache_clear()
+        for table in ("cold", "warm"):
+            closed.clear()
+            calls.update(dict.fromkeys(calls, 0))
+            hits = search(24, 10**6, 1000)
+            assert closed and None not in closed, table
+            assert len(hits) == 2 * len(closed)
+            assert calls["norm"] == 6 * len(hits)
+            assert calls["check_cycle_vectors"] == 3 * len(closed)
+            assert calls["validate_cycle"] == 0
 
     def test_search_matches_brute_force(self):
         # The search pipeline run on every ordered closable pair found by
