@@ -21,25 +21,28 @@ The construction works entirely on rational points of the unit sphere:
   only when the powers of 2 in their even legs differ by at least 2 and
   the legs do not hold the same nonzero power of 3: about 28% of all pairs
   at ``MAX_MN``.
-* Which pairs close depends on max_mn alone, so the scan's output, the
-  closing (m, n) pairs in scan order, is kept per process in a table
-  (``_closing_params``) with one entry per max_mn requested, at most
-  ``MAX_MN``; it is filled on the first request for a max_mn, never at
-  import.  Only that is kept.  Every request still builds each closing
-  pentagon with its checks, aims it, snaps the state at its own max_den,
-  builds and evaluates the scenario exactly and re-checks each returned
-  mirror, so every hit is a freshly checked certificate.
+* Which pairs close, and each closing pentagon's aim, depend on max_mn
+  alone, so a table (``_closing_params``) keeps them per process: per
+  max_mn requested (at most ``MAX_MN`` keys of at most 57 pairs), the
+  closing (m, n) pairs in scan order, each with its float aim.  It is
+  filled on the first request for a max_mn, never at import; the fill aims
+  the pentagon ``_pentagon`` builds from the scan's cross vector and root.
+  The aim is no check, so nothing exact is kept: every request still
+  builds each closing pentagon through ``build_pentagon`` with its checks,
+  snaps the aim at its own max_den, builds and evaluates the scenario
+  exactly and re-checks each returned mirror, so every hit is a freshly
+  checked certificate.
 * The family always puts a triple's even leg 2mn on the x (or y) axis.
   The three other orders of the two legs give other pentagons, which close
   more pairs; they are not searched.
 * The pair (p2, p1) gives the x <-> y mirror of the pentagon of (p1, p2),
-  the same cycle reversed.  ``search`` aims, snaps and evaluates only
-  (p1, p2) with p1 < p2 and derives the mirror hit from it: directions
-  (v1, v0, v4, v3, v2) and the state, each with x and y swapped, at the
-  same exact value.  The violations are sorted by (value, params) before
-  any hit is built, and the derived scenario is built, with its unit and
-  adjacency checks, for each returned mirror hit.
-* For each surviving pentagon, the optimal state is aimed numerically.
+  the same cycle reversed.  The table aims, and ``search`` snaps and
+  evaluates, only (p1, p2) with p1 < p2; ``search`` derives the mirror hit
+  from it: directions (v1, v0, v4, v3, v2) and the state, each with x and
+  y swapped, at the same exact value.  The violations are sorted by
+  (value, params) before any hit is built, and the derived scenario is
+  built, with its unit and adjacency checks, for each returned mirror hit.
+* The table's fill aims each closing pentagon's optimal state numerically.
   Adjacent projectors of a valid cycle are orthogonal, so the cycle
   operator is  sum_i A_i A_{i+1} = n*I - 4*G  with the 3x3 Gram matrix
   G = sum_i v_i v_i^T, and the aim is the top eigenvector of the float G,
@@ -174,20 +177,12 @@ def _closing_pairs(
         yield i, j, (a1 * b2, b1 * a2, b1 * b2), root
 
 
-def build_pentagon(p1: CircleParams, p2: CircleParams) -> list[UnitVectorQ] | None:
-    """Assemble a rational 5-cycle from two circle parametrizations.
-
-    v0 = e_x and v1 = e_y; v2 lies in the x-z plane from p1, v4 in the y-z
-    plane from p2 (z-components negative); v3 closes the cycle as
-    cross(v2, v4) normalized, built as the integer cross product over its
-    integer length.  Returns None when that length is irrational; any
-    returned list passes ``check_cycle_vectors``.
-    """
-    t1, t2 = circle_triple(p1), circle_triple(p2)
-    closing = next(_closing_pairs((t1, t2)), None)
-    if closing is None:
-        return None
-    _, _, v3, root = closing
+def _pentagon(
+    t1: tuple[int, int, int], t2: tuple[int, int, int], v3: tuple[int, int, int], root: int
+) -> list[UnitVectorQ]:
+    """The pentagon of two circle triples that close, from the cross vector
+    and root ``_closing_pairs`` yields for them: e_x, e_y, then
+    (b1, 0, -a1) / h1, v3 / root and (0, b2, -a2) / h2, each unit-checked."""
     odd1, even1, hyp1 = t1
     odd2, even2, hyp2 = t2
     return [
@@ -197,6 +192,25 @@ def build_pentagon(p1: CircleParams, p2: CircleParams) -> list[UnitVectorQ] | No
         _unit(v3, root),
         _unit((0, even2, -odd2), hyp2),
     ]
+
+
+def build_pentagon(p1: CircleParams, p2: CircleParams) -> list[UnitVectorQ] | None:
+    """Assemble a rational 5-cycle from two circle parametrizations.
+
+    v0 = e_x and v1 = e_y; v2 lies in the x-z plane from p1, v4 in the y-z
+    plane from p2 (z-components negative); v3 closes the cycle as
+    cross(v2, v4) normalized, built as the integer cross product over its
+    integer length.  Closure is decided by ``_closing_pairs`` on the two
+    triples, and the cycle is built by ``_pentagon``.  Returns None when
+    that length is irrational; any returned list passes
+    ``check_cycle_vectors``.
+    """
+    t1, t2 = circle_triple(p1), circle_triple(p2)
+    closing = next(_closing_pairs((t1, t2)), None)
+    if closing is None:
+        return None
+    _, _, v3, root = closing
+    return _pentagon(t1, t2, v3, root)
 
 
 def _lift(a: int, b: int, c: int, e: int) -> UnitVectorQ:
@@ -216,6 +230,15 @@ def stereo_lift(p: Fraction | int, q: Fraction | int) -> UnitVectorQ:
     return _lift(p.numerator, p.denominator, q.numerator, q.denominator)
 
 
+def _check_max_den(max_den: int) -> None:
+    """Raise TypeError for a max_den that is not an int (a bool included)
+    and ValueError for one below 1."""
+    if not isinstance(max_den, int) or max_den.__class__ is bool:
+        raise TypeError(f"max_den must be an integer, got {max_den!r}")
+    if max_den < 1:
+        raise ValueError(f"max_den must be >= 1, got {max_den}")
+
+
 def _best_ratio(n: int, d: int, max_den: int) -> tuple[int, int]:
     """(p, q) of ``Fraction(n, d).limit_denominator(max_den)`` for n / d in
     lowest terms (d > 0), on ints; n / d < 0 is approximated as -(-n / d).
@@ -226,11 +249,9 @@ def _best_ratio(n: int, d: int, max_den: int) -> tuple[int, int]:
     the largest k that keeps its denominator <= max_den.  The two lie
     1 / (q1 (q0 + k q1)) apart, and p1 / q1 lies r / (q1 d) from n / d for
     the expansion's remainder r, so the convergent is at least as close
-    exactly when 2 r (q0 + k q1) <= d; a tie keeps it.  Raises ValueError
-    for max_den < 1.
+    exactly when 2 r (q0 + k q1) <= d; a tie keeps it.  max_den is an
+    int >= 1 (``_check_max_den``).
     """
-    if max_den < 1:
-        raise ValueError(f"max_den must be >= 1, got {max_den}")
     if n < 0:
         p, q = _best_ratio(-n, d, max_den)
         return -p, q
@@ -258,8 +279,9 @@ def best_rational_approx(x: float | Fraction | int, max_den: int) -> Fraction:
     smaller denominator, then the smaller absolute numerator.  On a tie the
     standard library keeps the convergent, which for x < 0 is the candidate
     farther from zero, so negative x is approximated as -(-x).  x must be
-    finite; max_den must be >= 1.
+    finite; max_den must be an int >= 1 (TypeError, ValueError).
     """
+    _check_max_den(max_den)
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     fx = Fraction(x)
@@ -374,10 +396,11 @@ def rationalize_state(v: Sequence[float], max_den: int) -> UnitVectorQ:
     keeps the stereographic chart away from its pole; the two plane
     coordinates are then approximated with denominators <= max_den, on the
     ints of each float's exact ratio, and lifted back on integers, so the
-    result is exactly unit regardless of max_den.  Raises
-    ValueError for a length other than 3, a norm not within 1e-6 of 1 or
-    max_den < 1.
+    result is exactly unit regardless of max_den.  Raises TypeError for a
+    max_den that is not an int (a bool included), and ValueError for
+    max_den < 1, a length other than 3 or a norm not within 1e-6 of 1.
     """
+    _check_max_den(max_den)
     if len(v) != 3:
         raise ValueError(f"expected a 3-vector, got {len(v)} components")
     x, y, z = (float(c) for c in v)
@@ -449,12 +472,19 @@ class SearchHit(_Value):
 
 
 @cache
-def _closing_params(max_mn: int) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-    """The (m, n) ints of every closing pair p1 < p2 with m <= max_mn, in the
-    order ``_closing_pairs`` yields them.  The scan depends on max_mn alone,
-    so each process runs it once per max_mn that ``search`` has accepted."""
+def _closing_params(max_mn: int) -> tuple[tuple[tuple[int, int], tuple[int, int], Float3], ...]:
+    """((m1, n1), (m2, n2), aim) for every closing pair p1 < p2 with
+    m <= max_mn, in the order ``_closing_pairs`` yields them; the aim is
+    ``optimal_state_numeric``'s state for the pair's pentagon, built by
+    ``_pentagon`` from the scan's own cross vector and root.  The scan and
+    the aims depend on max_mn alone, so each process computes them once per
+    max_mn that ``search`` has accepted."""
     ints = _param_ints(max_mn)
-    return tuple((ints[i], ints[j]) for i, j, _, _ in _closing_pairs([_triple(m, n) for m, n in ints]))
+    triples = [_triple(m, n) for m, n in ints]
+    return tuple(
+        (ints[i], ints[j], optimal_state_numeric(_pentagon(triples[i], triples[j], v3, root))[0])
+        for i, j, v3, root in _closing_pairs(triples)
+    )
 
 
 def search(max_mn: int, max_den: int, top_k: int) -> list[SearchHit]:
@@ -465,10 +495,11 @@ def search(max_mn: int, max_den: int, top_k: int) -> list[SearchHit]:
     result.  Raises TypeError for a bound that is not an int (a bool
     included) and ValueError for a non-positive bound or max_mn > MAX_MN.
 
-    The scan runs on plain (m, n) ints, once per process for each max_mn
-    (``_closing_params``); each closing pair p1 < p2 gets its two
-    CircleParams on every request, and is built, checked, aimed, snapped
-    and evaluated once.  The violations are sorted by (value, params) first,
+    The scan runs on plain (m, n) ints and each closing pentagon is aimed,
+    once per process for each max_mn (``_closing_params``).  On every
+    request each closing pair p1 < p2 gets its two CircleParams, and is
+    built with its unit checks, snapped at this max_den, checked and
+    evaluated once.  The violations are sorted by (value, params) first,
     and only the top_k returned become SearchHits: a returned hit (p2, p1)
     is then derived from its pair's scenario, with its unit and adjacency
     checks.  No pair (p, p) is tested: its two even legs share their power
@@ -481,11 +512,10 @@ def search(max_mn: int, max_den: int, top_k: int) -> list[SearchHit]:
     if max_mn > MAX_MN:
         raise ValueError(f"max_mn is limited to {MAX_MN}, got {max_mn}")
     found = []  # (value, params, scenario, whether the hit is the mirror)
-    for mn1, mn2 in _closing_params(max_mn):
+    for mn1, mn2, aim in _closing_params(max_mn):
         p1, p2 = CircleParams(*mn1), CircleParams(*mn2)
         pentagon = build_pentagon(p1, p2)
-        vec, _lam = optimal_state_numeric(pentagon)
-        scenario = CycleScenario(rationalize_state(vec, max_den), tuple(pentagon))
+        scenario = CycleScenario(rationalize_state(aim, max_den), tuple(pentagon))
         value = kcbs_value(scenario)
         if is_violation(value, scenario.n):
             found.append((value, (p1, p2), scenario, False))

@@ -351,6 +351,13 @@ class TestBestRationalApprox:
         # a tie keeps the convergent: 0 for +-0.5 and +-2 for +-2.5
         assert [best_rational_approx(x, 1) for x in (0.5, -0.5, 2.5, -2.5)] == [0, 0, 2, -2]
 
+    @pytest.mark.parametrize("max_den", [True, False, 2.5, 10.0, Fraction(10), None])
+    def test_rejects_a_max_den_that_is_not_an_int(self, max_den):
+        # as search refuses its bounds: a bool is an int to isinstance, and
+        # unrefused, 2.5 reaches Fraction as a float
+        with pytest.raises(TypeError, match="max_den must be an integer"):
+            best_rational_approx(0.3, max_den)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             best_rational_approx(0.5, 0)
@@ -499,13 +506,24 @@ class TestGramAim:
     @pytest.mark.parametrize("max_den", [10, 10**3, 10**6])
     def test_search_matches_eigh_aim(self, monkeypatch, max_den):
         # each hit depends only on its pair and max_den, so max_mn = 30 also
-        # covers every smaller max_mn
+        # covers every smaller max_mn.  The table keeps each pair's aim, so
+        # it is emptied before the run with eigh's aims, which then fills
+        # it, and again afterwards, so that no later request reads them.
         pytest.importorskip("numpy")
         hits = search(30, max_den, 10**6)
-        monkeypatch.setattr(
-            search_module, "optimal_state_numeric", lambda vs: eigh_of_cycle_operator(vs)[:2]
-        )
-        reference = search(30, max_den, 10**6)
+        aimed = []
+
+        def eigh_aim(vectors):
+            aimed.append(vectors)
+            return eigh_of_cycle_operator(vectors)[:2]
+
+        monkeypatch.setattr(search_module, "optimal_state_numeric", eigh_aim)
+        _closing_params.cache_clear()
+        try:
+            reference = search(30, max_den, 10**6)
+        finally:
+            _closing_params.cache_clear()
+        assert len(aimed) == len(closable_pairs(30)) // 2 == 12
         assert len(reference) > 0
         assert [(h.value, h.params, h.scenario) for h in hits] == [
             (h.value, h.params, h.scenario) for h in reference
@@ -571,6 +589,13 @@ class TestRationalizeState:
         for max_den in (0, -1):
             with pytest.raises(ValueError, match="max_den"):
                 rationalize_state([1.0, 0.0, 0.0], max_den)
+
+    @pytest.mark.parametrize("max_den", [True, False, 10.5, 10.0, Fraction(10), None])
+    def test_rejects_a_max_den_that_is_not_an_int(self, max_den):
+        # as search refuses its bounds: unrefused, True reads as 1 and 10.5
+        # gives a state
+        with pytest.raises(TypeError, match="max_den must be an integer"):
+            rationalize_state((0.6, 0.0, 0.8), max_den)
 
 
 # --------------------------------------------------------------------- search
@@ -906,16 +931,25 @@ class TestClosurePrefilter:
 
     def test_closing_params_match_plain_scan(self):
         # the table search reads holds the (m, n) pairs of the plain scan, in
-        # its order, whether each entry is computed (cold) or served (warm)
+        # its order, and each pair's aim: bit for bit the aim of the pentagon
+        # build_pentagon gives, so the pentagon the table aims through
+        # _pentagon is that one.  Both hold whether each entry is computed
+        # (cold) or served (warm).
         expected = {}
         for max_mn in range(1, 41):
             params = primitive_params(max_mn)
             found = closing_pairs_scan([circle_triple(p) for p in params])
-            expected[max_mn] = tuple(((params[i].m, params[i].n), (params[j].m, params[j].n)) for i, j, _, _ in found)
+            expected[max_mn] = [(params[i], params[j]) for i, j, _, _ in found]
         _closing_params.cache_clear()
         for table in ("cold", "warm"):
             for max_mn, pairs in expected.items():
-                assert _closing_params(max_mn) == pairs, (table, max_mn)
+                entries = _closing_params(max_mn)
+                assert [(mn1, mn2) for mn1, mn2, _ in entries] == [
+                    ((p1.m, p1.n), (p2.m, p2.n)) for p1, p2 in pairs
+                ], (table, max_mn)
+                for (_, _, aim), (p1, p2) in zip(entries, pairs):
+                    vec, _lam = optimal_state_numeric(build_pentagon(p1, p2))
+                    assert [x.hex() for x in aim] == [x.hex() for x in vec], (table, p1, p2)
         assert _closing_params.cache_info()[:2] == (40, 40)  # hits, misses
         # 19 unordered pairs: the 38 ordered ones of test_closure_is_symmetric
         assert type(_closing_params(40)) is tuple and len(_closing_params(40)) == 19
@@ -928,9 +962,10 @@ class TestClosurePrefilter:
         assert len(search(24, 10**6, 1000)) == 14
 
     def test_search_builds_only_closable_pairs(self, monkeypatch):
-        # each unordered closing pair is built, aimed and evaluated once;
-        # its mirror hit is derived, not built.  The same holds with the
-        # table of closing pairs cold and warm.
+        # each unordered closing pair is built and evaluated once per
+        # request; its mirror hit is derived, not built.  It is aimed once
+        # per process: when the table of closing pairs is filled (cold), not
+        # when a request reads it (warm).
         ordered = len(closable_pairs(24))
         names = ("build_pentagon", "optimal_state_numeric", "kcbs_value")
         calls = dict.fromkeys(names, 0)
@@ -938,10 +973,12 @@ class TestClosurePrefilter:
             monkeypatch.setattr(search_module, name, counted(calls, name, getattr(search_module, name)))
         assert ordered % 2 == 0 and 0 < ordered < len(primitive_params(24)) ** 2
         _closing_params.cache_clear()
-        for table in ("cold", "warm"):
+        for table, aims in (("cold", ordered // 2), ("warm", 0)):
             calls.update(dict.fromkeys(calls, 0))
             hits = search(max_mn=24, max_den=600, top_k=1000)
-            assert calls == dict.fromkeys(names, ordered // 2), table
+            assert calls == {
+                "build_pentagon": ordered // 2, "optimal_state_numeric": aims, "kcbs_value": ordered // 2
+            }, table
             assert len(hits) == ordered
 
     def test_search_checks_each_closed_pentagon_once(self, monkeypatch):
@@ -967,21 +1004,22 @@ class TestClosurePrefilter:
             return closed[-1]
 
         monkeypatch.setattr(search_module, "build_pentagon", recording)
-        # per unordered closing pair: its five directions and the lifted
-        # state are each checked for unit norm once, and so are the mirror's;
-        # the aim, the scenario and the mirror's scenario each check the
-        # cycle's adjacency once.  Every closing pair violates here, so each
-        # build gives two hits.  A warm table of closing pairs skips none of
-        # these checks.
+        # per unordered closing pair and request: its five directions and
+        # the lifted state are each checked for unit norm once, and so are
+        # the mirror's; the scenario and the mirror's scenario each check
+        # the cycle's adjacency once.  Every closing pair violates here, so
+        # each build gives two hits.  Filling the table (cold) adds, once
+        # per pair, the unit checks of the pentagon it aims and the aim's
+        # adjacency check; a warm request skips none of the checks above.
         _closing_params.cache_clear()
-        for table in ("cold", "warm"):
+        for table, fill in (("cold", 1), ("warm", 0)):
             closed.clear()
             calls.update(dict.fromkeys(calls, 0))
             hits = search(24, 10**6, 1000)
             assert closed and None not in closed, table
             assert len(hits) == 2 * len(closed)
-            assert calls["norm"] == 6 * len(hits)
-            assert calls["check_cycle_vectors"] == 3 * len(closed)
+            assert calls["norm"] == 6 * len(hits) + fill * 5 * len(closed), table
+            assert calls["check_cycle_vectors"] == (2 + fill) * len(closed), table
             assert calls["validate_cycle"] == 0
 
     def test_search_matches_brute_force(self):
