@@ -236,7 +236,10 @@ def correlator(s: CycleScenario, i: int) -> Fraction:
     """Exact <A_i A_{i+1}> as (A_i psi) . (A_{i+1} psi), equal because A_i is
     symmetric; unlike the projection route it needs no orthogonality.
     One integer dot product of the scenario's cached A_i psi, one Fraction.
-    Always lies in [-1, 1].  Raises IndexError outside 0 <= i < n."""
+    Always lies in [-1, 1].  Raises TypeError for an index that is not an
+    int (a bool included) and IndexError outside 0 <= i < n."""
+    if not isinstance(i, int) or i.__class__ is bool:
+        raise TypeError(f"correlator index must be an int, got {i!r}")
     if not 0 <= i < s.n:
         raise IndexError(f"correlator index {i} out of range for n = {s.n}")
     (u, du), (w, dw) = s._images[i], s._images[(i + 1) % s.n]

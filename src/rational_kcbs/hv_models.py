@@ -1,13 +1,11 @@
-"""Noncontextual hidden-variable bound certification by an exact min-plus pass.
+"""Noncontextual hidden-variable bound of an odd cycle, in closed form.
 
 A deterministic noncontextual model assigns every observable on the cycle a
 fixed outcome in {-1, +1}; the cycle correlation sum then becomes an integer
-sum of adjacent products.  ``classical_min_cycle`` certifies the minimum over
-all 2^n assignments with a min-plus pass that keeps two running minima per
-step, the least suffix sum given a_i = -1 and given a_i = +1: every
-assignment is a path through those minima, so the result is exhaustive, in
-O(n) integer work.  The closed form -(n - 2) for odd n is checked
-afterwards as a cross-check, never assumed.
+sum of adjacent products.  ``classical_min_cycle`` gives the minimum over
+all 2^n assignments, -(n - 2) for odd n, by a parity argument (in its
+docstring), with a witness that attains it; the witness's sum is computed
+exactly and checked against -(n - 2) on every call.
 Probabilistic (mixed) models need no separate treatment: the cycle sum is
 linear in the outcome distribution, so its minimum over the convex hull of
 deterministic assignments is attained at a deterministic one.
@@ -40,37 +38,28 @@ def classical_min_cycle(n: int) -> tuple[int, Assignment]:
     """Minimum of the cycle sum  sum_i a_i * a_{i+1 mod n}  over all 2^n
     assignments, with witness.
 
-    The witness is the lexicographically smallest minimizer under -1 < +1.
-    A global sign flip keeps the value, so fixing a_0 = -1 loses nothing.  A
-    backward pass of suffix optima, closing edge included, gives the minimum;
-    the witness is then read front to back, taking -1 whenever it still
-    reaches that minimum.
+    With d adjacent pairs that disagree, the sum is (n - d) - d = n - 2d.
+    Going once round the cycle flips the sign d times and ends where it
+    began, so d is even; for odd n that leaves d <= n - 1, and the sum is
+    at least -(n - 2).  The witness (-1, -1, +1, -1, ..., +1) agrees only on
+    its first pair, so d = n - 1 and it attains that bound.  It is the
+    lexicographically smallest minimizer under -1 < +1: a minimizer agrees
+    on exactly one pair, and once a_0 = a_1 = -1 makes that pair the first,
+    every later outcome is forced.  The witness's cycle sum is computed
+    exactly and compared with -(n - 2).
 
     Raises TypeError for a non-int or bool n, ValueError for even n or
-    n < 3, and ArithmeticError should the pass miss the closed form -(n - 2).
+    n < 3, and ArithmeticError should the witness miss -(n - 2).
     """
     if not isinstance(n, int) or n.__class__ is bool:
         raise TypeError(f"cycle length must be an int, got {n!r}")
     if n % 2 == 0 or n < 3:
         raise ValueError(f"cycle length must be odd and >= 3, got {n}")
-    # lo / hi: least sum of the edges a_i a_{i+1}, ..., a_{n-1} a_0 given
-    # a_i = -1 / +1, with a_0 = -1; lows[i] keeps each lo, lows[0] the minimum
-    lows = [1] * n
-    lo, hi = 1, -1  # i = n - 1: the closing edge a_{n-1} a_0 alone
-    for i in range(n - 2, -1, -1):
-        lo, hi = min(lo + 1, hi - 1), min(lo - 1, hi + 1)
-        lows[i] = lo
-    outcomes = [-1]
-    rest = lows[0]  # what the edges from a_{i-1} on must still sum to
-    for lo in lows[1:]:
-        pick = -1 if lo - outcomes[-1] == rest else 1
-        rest -= outcomes[-1] * pick
-        outcomes.append(pick)
-    # For odd n the number of disagreeing adjacent pairs is always even, so
-    # the certified minimum must land exactly on -(n - 2).
-    if lows[0] != -(n - 2):
-        raise ArithmeticError(f"min-plus pass found {lows[0]}, expected {-(n - 2)}")
-    return lows[0], Assignment(outcomes)
+    outcomes = (-1, -1) + (1, -1) * ((n - 3) // 2) + (1,)
+    value = sum([a * b for a, b in zip(outcomes, outcomes[1:] + outcomes[:1])])
+    if value != -(n - 2):
+        raise ArithmeticError(f"witness sums to {value}, expected {-(n - 2)}")
+    return value, Assignment(outcomes)
 
 
 def is_violation(value: Fraction | int, n: int) -> bool:

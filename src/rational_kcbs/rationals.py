@@ -79,7 +79,11 @@ def to_decimal(r: Fraction, digits: int) -> str:
     Rounding is half-away-from-zero, computed by exact integer long division
     (no floating point anywhere), and rendered in full however many digits
     it has.  A result that rounds to zero is rendered without a sign.
+    Raises TypeError for digits that is not an int (a bool included) and
+    ValueError for digits < 0.
     """
+    if not isinstance(digits, int) or digits.__class__ is bool:
+        raise TypeError(f"digits must be an int, got {digits!r}")
     if digits < 0:
         raise ValueError(f"digits must be >= 0, got {digits}")
     quotient, remainder = divmod(abs(r.numerator) * 10**digits, r.denominator)

@@ -11,10 +11,12 @@ row-major ints, positive denominator) in lowest terms, which only
 ``mat_from_rows`` builds one from Fraction rows, and ``mat_reduced`` brings
 nine ints over a denominator to lowest terms by its own gcd.  ``closing_pairs_scan``
 is the plain all-pairs closure scan, without the class rule of
-``search._closing_pairs``.  ``jacobi_aim_rows`` is the float aim of
-``search.optimal_state_numeric`` in loop form on lists of row lists, which
-the program's written-out rotations on float locals must reproduce bit for
-bit.  ``parse_triple_by_components`` reads a config triple with one
+``search._closing_pairs``.  ``jacobi_aim_rows`` is a transcription of the
+float aim of ``search.optimal_state_numeric`` that fixes its operation
+order, which the program must reproduce bit for bit.  ``min_plus_cycle`` is
+the exact O(n) min-plus pass over all 2^n assignments of a cycle, which the
+closed form of ``hv_models.classical_min_cycle`` must match in value and
+witness.  ``parse_triple_by_components`` reads a config triple with one
 ``rationals._ratio`` call per component, which the program's reading of a
 config triple through ``cli._parse_triple`` must agree with."""
 
@@ -27,6 +29,7 @@ from typing import Callable, Sequence
 
 from rational_kcbs.cli import ConfigError
 from rational_kcbs.contextuality import UnitVectorQ, check_cycle_vectors
+from rational_kcbs.hv_models import Assignment
 from rational_kcbs.linalg3 import Vec3Q, dot
 from rational_kcbs.rationals import _ratio
 
@@ -190,8 +193,11 @@ def closing_pairs_scan(
 def jacobi_aim_rows(vectors: Sequence[UnitVectorQ]) -> tuple[tuple[float, float, float], float]:
     """The top eigenvector u of the float Gram matrix G and n - 4 * mu for its
     eigenvalue mu, by six cyclic Jacobi sweeps on lists of row lists, with
-    the components converted by ``float(Fraction)``: the same float
-    operations in the same order as ``optimal_state_numeric``."""
+    the components converted by ``float(Fraction)`` and each Gram entry an
+    ``fsum`` over the vectors.  It pins the order of the float operations
+    that ``optimal_state_numeric`` must follow: the columns of a and of the
+    rotation before the rows of a, each plane with a zero entry skipped, and
+    the first index on a tie for the top diagonal entry."""
     n = len(vectors)
     fv = [[float(c) for c in u.v.as_tuple()] for u in vectors]
     a = [[math.fsum(v[j] * v[k] for v in fv) for k in range(3)] for j in range(3)]
@@ -212,6 +218,32 @@ def jacobi_aim_rows(vectors: Sequence[UnitVectorQ]) -> tuple[tuple[float, float,
             a[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
     top = max(range(3), key=lambda k: a[k][k])
     return (rot[0][top], rot[1][top], rot[2][top]), n - 4 * a[top][top]
+
+
+def min_plus_cycle(n: int) -> tuple[int, Assignment]:
+    """Minimum of the cycle sum  sum_i a_i * a_{i+1 mod n}  over all 2^n
+    assignments of an odd n >= 3, with the lexicographically smallest
+    minimizer under -1 < +1, by an exact min-plus pass in O(n): no closed
+    form is assumed.
+
+    A global sign flip keeps the value, so fixing a_0 = -1 loses nothing.  A
+    backward pass of suffix optima, closing edge included, gives the minimum;
+    the witness is then read front to back, taking -1 whenever it still
+    reaches that minimum."""
+    # lo / hi: least sum of the edges a_i a_{i+1}, ..., a_{n-1} a_0 given
+    # a_i = -1 / +1, with a_0 = -1; lows[i] keeps each lo, lows[0] the minimum
+    lows = [1] * n
+    lo, hi = 1, -1  # i = n - 1: the closing edge a_{n-1} a_0 alone
+    for i in range(n - 2, -1, -1):
+        lo, hi = min(lo + 1, hi - 1), min(lo - 1, hi + 1)
+        lows[i] = lo
+    outcomes = [-1]
+    rest = lows[0]  # what the edges from a_{i-1} on must still sum to
+    for lo in lows[1:]:
+        pick = -1 if lo - outcomes[-1] == rest else 1
+        rest -= outcomes[-1] * pick
+        outcomes.append(pick)
+    return lows[0], Assignment(outcomes)
 
 
 # pi = 3.14159265358979323846..., so this rational lies below it

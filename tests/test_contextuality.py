@@ -374,6 +374,13 @@ def test_correlator_index_errors():
         correlator(s, -1)
 
 
+# True == 1, so only its type tells it apart from the index 1
+@pytest.mark.parametrize("i", [True, False, 1.0, "1", None])
+def test_correlator_refuses_non_int_index(i):
+    with pytest.raises(TypeError, match="^correlator index must be an int, got "):
+        correlator(reference_scenario(), i)
+
+
 def test_correlator_trivial_cases():
     s = validate_cycle(E_X, DEGENERATE_VECTORS)
     assert correlator(s, 0) == -1  # state on the first direction

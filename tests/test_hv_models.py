@@ -12,6 +12,7 @@ from rational_kcbs.hv_models import (
     is_violation,
 )
 from tests.conftest import assert_frozen_value
+from tests.oracles import min_plus_cycle
 
 
 def cycle_sum(o):
@@ -66,6 +67,12 @@ class TestClassicalMin:
         assert value == -3
         assert witness.outcomes == (-1, -1, 1, -1, 1)
         assert cycle_sum(witness.outcomes) == -3
+
+    def test_matches_min_plus_pass(self):
+        # the exact O(n) pass assumes no closed form, so it reaches beyond
+        # the brute force; MAX_BOUND_N is the largest ``bound`` request
+        for n in [*range(3, 202, 2), MAX_BOUND_N]:
+            assert classical_min_cycle(n) == min_plus_cycle(n), n
 
     # MAX_BOUND_N: the largest cycle a ``bound`` request accepts
     @pytest.mark.parametrize("n", [27, 101, 1001, MAX_BOUND_N])

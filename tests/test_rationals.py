@@ -159,6 +159,12 @@ class TestToDecimal:
         with pytest.raises(ValueError):
             to_decimal(Fraction(1, 3), -1)
 
+    # True == 1, so only its type tells it apart from one digit
+    @pytest.mark.parametrize("digits", [True, False, 1.0, "3", None])
+    def test_non_int_digits_rejected(self, digits):
+        with pytest.raises(TypeError, match="^digits must be an int, got "):
+            to_decimal(Fraction(1, 3), digits)
+
     def test_rounding_error_bound(self):
         # |rendered - exact| <= 10^-d / 2, with equality allowed (ties away).
         rng = random.Random(991)

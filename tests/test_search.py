@@ -484,7 +484,8 @@ class TestGramAim:
         assert np.linalg.norm(op @ np.array(vec) - ref_lam * np.array(vec)) < 1e-12
 
     def test_flat_sweeps_match_row_list_oracle(self, pentagons_30):
-        # the same float operations in the same order give the same bits:
+        # the program's Jacobi loop and the oracle's transcription of it do
+        # the same float operations in the same order, so give the same bits:
         # every closing pentagon at MAX_MN in both orders, their z-flips up to
         # max_mn 30, the degenerate cycles above and the seeded odd cycles
         # n = 3..23
